@@ -2,7 +2,7 @@
 """Continuum-limit sweep: evolve the same Gaussian packet through the walk
 and through the Dirac reference solver on the uniform SU(2) electric field,
 one leg per lattice step, and fit the log-log slope of the mean relative
-difference.  The full-size run takes a few minutes; pass --quick for a
+difference.  The full-size run takes about a minute; pass --quick for a
 desk-check at a third of the domain."""
 
 import argparse
@@ -20,7 +20,7 @@ def main():
     ap.add_argument("--epsilon", type=float, action="append", dest="epsilons")
     ap.add_argument("--out", default="out/convergence")
     ap.add_argument("--quick", action="store_true",
-                    help="smaller domain and horizon (~15s instead of ~3min)")
+                    help="smaller domain and horizon (~6s instead of ~1min)")
     args = ap.parse_args()
 
     x_max, t_max = (30.0, 10.0) if args.quick else (100.0, 50.0)

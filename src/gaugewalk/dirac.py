@@ -1,10 +1,17 @@
 """Continuum reference: the 2N-component Dirac equation on a periodic grid,
-pseudo-spectral in space, second-order Runge-Kutta in time."""
+pseudo-spectral in space, second-order Runge-Kutta in time.
+
+A SpinorField holds either point values on the grid or their DFT
+coefficients (its `spectral` flag).  When the gauge potential is uniform in x
+the derivative and the potential both act mode by mode, so `solve` marches
+the Fourier coefficients and needs no FFT per step; x-dependent potentials
+are marched in x space."""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,16 +52,29 @@ class SpectralGrid:
         return self.n_points * self.dx
 
     def positions(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n_points)
+        """Grid points; one read-only array per grid."""
+        return self._positions
 
     def wavenumbers(self) -> np.ndarray:
         return 2 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
 
     def derivative_symbol(self) -> np.ndarray:
-        """ik per mode, with the (even-n) Nyquist mode's derivative zeroed."""
+        """ik per mode, with the (even-n) Nyquist mode's derivative zeroed;
+        one read-only array per grid."""
+        return self._symbol
+
+    @cached_property
+    def _positions(self) -> np.ndarray:
+        x = self.x_min + self.dx * np.arange(self.n_points)
+        x.flags.writeable = False
+        return x
+
+    @cached_property
+    def _symbol(self) -> np.ndarray:
         ik = 1j * self.wavenumbers()
         if self.n_points % 2 == 0:
             ik[self.n_points // 2] = 0.0
+        ik.flags.writeable = False
         return ik
 
     def synthesize(self, coefficients: np.ndarray) -> np.ndarray:
@@ -66,15 +86,28 @@ class SpectralGrid:
 
 
 class SpinorField:
-    """2N complex components per grid point; psi^- block first."""
+    """2N complex components per grid point, psi^- block first.  With
+    spectral=True the rows are the DFT coefficients (numpy's unnormalized
+    fft along the grid axis) instead of point values."""
 
-    def __init__(self, grid: SpectralGrid, dim: int, values: np.ndarray):
+    def __init__(self, grid: SpectralGrid, dim: int, values: np.ndarray, spectral: bool = False):
         values = np.asarray(values, dtype=complex)
         if values.shape != (grid.n_points, 2 * dim):
             raise DimensionError(f"values shape {values.shape}, expected {(grid.n_points, 2 * dim)}")
         self.grid = grid
         self.dim = dim
         self.values = values
+        self.spectral = spectral
+
+    def to_spectral(self) -> "SpinorField":
+        if self.spectral:
+            return self
+        return SpinorField(self.grid, self.dim, np.fft.fft(self.values, axis=0), True)
+
+    def to_physical(self) -> "SpinorField":
+        if not self.spectral:
+            return self
+        return SpinorField(self.grid, self.dim, np.fft.ifft(self.values, axis=0))
 
     @property
     def psi_minus(self) -> np.ndarray:
@@ -85,14 +118,15 @@ class SpinorField:
         return self.values[:, self.dim :]
 
     def site_probabilities(self) -> np.ndarray:
-        return np.sum(np.abs(self.values) ** 2, axis=1)
+        return np.sum(np.abs(self.to_physical().values) ** 2, axis=1)
 
 
 def spectral_derivative(f: SpinorField) -> SpinorField:
-    """Componentwise d/dx: FFT, multiply by ik, inverse FFT."""
-    hat = np.fft.fft(f.values, axis=0)
-    hat *= f.grid.derivative_symbol()[:, None]
-    return SpinorField(f.grid, f.dim, np.fft.ifft(hat, axis=0))
+    """Componentwise d/dx in f's representation: multiply the coefficients
+    by ik (FFT in and out for an x-space field)."""
+    hat = f.to_spectral().values * f.grid.derivative_symbol()[:, None]
+    d = SpinorField(f.grid, f.dim, hat, True)
+    return d if f.spectral else d.to_physical()
 
 
 @dataclass(frozen=True)
@@ -109,34 +143,51 @@ class DiracParams:
         if self.mass < 0:
             raise ValueError("mass must be >= 0")
 
+    def uniform_in_x(self, x: np.ndarray) -> bool:
+        """True if both coordinate functions return one coordinate vector,
+        shape (count,), rather than one per point (probed at t = 0)."""
+        return all(np.ndim(fn(0.0, x)) == 1 for fn in (self.b0, self.b1))
+
     def potential_matrices(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         out = []
         for fn in (self.b0, self.b1):
             coords = np.asarray(fn(t, x), dtype=float)
-            if not np.all(np.isfinite(coords)):
+            if not np.isfinite(coords).all():
                 raise ValueError(f"non-finite potential at t = {t}")
             out.append(self.gens.assemble(coords))
         return out[0], out[1]
 
 
+def coupling_matrix(b0: np.ndarray, b1: np.ndarray, mass: float) -> np.ndarray:
+    """i [[B0 - B1, -m], [-m, B0 + B1]]: the non-derivative part of the Dirac
+    generator, (2N,2N) for uniform potentials or (n,2N,2N) per point."""
+    n = b0.shape[-1]
+    diff = b0 - b1
+    c = np.empty(diff.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    c[..., :n, :n] = diff
+    c[..., n:, n:] = b0 + b1
+    c[..., :n, n:] = c[..., n:, :n] = -mass * np.eye(n)
+    c *= 1j
+    return c
+
+
 def dirac_rhs(f: SpinorField, params: DiracParams, t: float) -> SpinorField:
     """d/dt Psi with
        d0 psi^- = +d1 psi^- + i (B0 - B1) psi^- - i m psi^+
-       d0 psi^+ = -d1 psi^+ + i (B0 + B1) psi^+ - i m psi^-."""
+       d0 psi^+ = -d1 psi^+ + i (B0 + B1) psi^+ - i m psi^-,
+    in f's representation; an x-dependent potential needs an x-space f."""
     if f.dim != params.gens.dim:
         raise DimensionError("field and generator dimensions disagree")
     d = spectral_derivative(f)
-    b0, b1 = params.potential_matrices(t, f.grid.positions())
-    out = np.empty_like(f.values)
-
-    def apply(b, block):  # (N,N) or (n,N,N) times (n,N)
-        if b.ndim == 2:
-            return block @ b.T
-        return np.einsum("pij,pj->pi", b, block)
-
-    out[:, : f.dim] = d.psi_minus + 1j * apply(b0 - b1, f.psi_minus) - 1j * params.mass * f.psi_plus
-    out[:, f.dim :] = -d.psi_plus + 1j * apply(b0 + b1, f.psi_plus) - 1j * params.mass * f.psi_minus
-    return SpinorField(f.grid, f.dim, out)
+    c = coupling_matrix(*params.potential_matrices(t, f.grid.positions()), params.mass)
+    if c.ndim == 2:
+        out = f.values @ c.T
+    elif f.spectral:
+        raise DimensionError("an x-dependent potential cannot act on a spectral field")
+    else:
+        out = np.einsum("pij,pj->pi", c, f.values)
+    out += d.values * np.repeat((1.0, -1.0), f.dim)
+    return SpinorField(f.grid, f.dim, out, f.spectral)
 
 
 def rk2_step(f: SpinorField, params: DiracParams, t: float, dt: float) -> SpinorField:
@@ -144,10 +195,13 @@ def rk2_step(f: SpinorField, params: DiracParams, t: float, dt: float) -> Spinor
     result = f + dt k2."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    k1 = dirac_rhs(f, params, t)
-    mid = SpinorField(f.grid, f.dim, f.values + 0.5 * dt * k1.values)
-    k2 = dirac_rhs(mid, params, t + 0.5 * dt)
-    return SpinorField(f.grid, f.dim, f.values + dt * k2.values)
+    k1 = dirac_rhs(f, params, t).values
+    k1 *= 0.5 * dt
+    k1 += f.values
+    k2 = dirac_rhs(SpinorField(f.grid, f.dim, k1, f.spectral), params, t + 0.5 * dt).values
+    k2 *= dt
+    k2 += f.values
+    return SpinorField(f.grid, f.dim, k2, f.spectral)
 
 
 def free_hamiltonian(k: float, m: float) -> np.ndarray:
@@ -192,18 +246,25 @@ def gaussian_packet(k0: float, sigma: float, color: np.ndarray, grid: SpectralGr
 def solve(initial: SpinorField, params: DiracParams, t_max: float, dt: float,
           observer=None) -> SpinorField:
     """March with rk2_step from t = 0 to t_max (last step shortened to land
-    exactly on t_max); aborts with NumericalAbort on non-finite values."""
+    exactly on t_max); aborts with NumericalAbort on non-finite values.
+
+    When both coordinate functions are uniform in x, the march runs on the
+    Fourier coefficients: the FFT is linear and commutes with the uniform
+    potential and mass terms, so this is the same RK2 up to rounding, with
+    one transform in and one out instead of two pairs per step.  The
+    observer and the caller always receive x-space fields."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
+    spectral = params.uniform_in_x(initial.grid.positions())
     f, t = initial, 0.0
     while t < t_max - 1e-12:
         h = min(dt, t_max - t)
-        f = rk2_step(f, params, t, h)
+        f = rk2_step(f.to_spectral() if spectral else f, params, t, h)
         t += h
-        if not np.all(np.isfinite(f.values)):
+        if not np.isfinite(f.values).all():
             raise NumericalAbort(t)
         if observer is not None:
-            observer(t, f)
-    return f
+            observer(t, f.to_physical())
+    return f.to_physical()

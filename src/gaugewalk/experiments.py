@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -52,11 +50,21 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be finite")
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
-        if self.experiment == "convergence" and not self.epsilons:
-            raise ConfigError("convergence needs a nonempty epsilon list")
+        if self.sigma <= 0:
+            raise ConfigError("sigma must be positive")
         self.epsilons = tuple(float(e) for e in self.epsilons)
         if any(e <= 0 for e in self.epsilons):
             raise ConfigError("epsilons must be positive")
+        if self.experiment == "convergence":
+            # the slope fit needs three distinct lattice steps
+            if len(self.epsilons) < 3 or len(set(self.epsilons)) != len(self.epsilons):
+                raise ConfigError("convergence needs at least 3 distinct epsilons")
+            for eps in self.epsilons:
+                # the packet's wavenumber support must fit under the lattice Nyquist
+                if abs(self.k0) + 4 * self.sigma > np.pi / eps:
+                    raise ConfigError(f"packet under-resolved at eps={eps}: |k0| + 4*sigma exceeds pi/eps")
+        if self.experiment == "trajectory" and self.safe_zone() <= 0:
+            raise ConfigError(f"no room for the packet: x_max - 4/sigma - 2 = {self.safe_zone():.3g} <= 0")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -70,9 +78,10 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-
-def max_workers() -> int:
-    return max(1, int(os.environ.get("GAUGEWALK_THREADS", "1")))
+    def safe_zone(self) -> float:
+        """Largest |mean position| the trajectory run accepts: the domain
+        half-width less the packet width and a margin."""
+        return self.x_max - 4.0 / self.sigma - 2.0
 
 
 def su2_electric_potentials(e_ym: float):
@@ -140,11 +149,6 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
     log-log slope of the mean relative difference of psi^-."""
     if cfg.dim != 2:
         raise ConfigError("the convergence experiment is defined for dim = 2")
-    for eps in cfg.epsilons:
-        # the packet's wavenumber support must fit under the lattice Nyquist
-        if abs(cfg.k0) + 4 * cfg.sigma > np.pi / eps:
-            raise ConfigError(f"packet under-resolved at eps={eps}: |k0| + 4*sigma exceeds pi/eps")
-
     gens = unitary.generators_u(2)
     b_p, b_q, b0, b1 = su2_electric_potentials(cfg.e_ym)
     params = dirac.DiracParams(cfg.mass, b0, b1, gens)
@@ -160,11 +164,7 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
         return d_re, d_im
 
     eps_sorted = sorted(cfg.epsilons, reverse=True)
-    if max_workers() > 1:
-        with ThreadPoolExecutor(max_workers=max_workers()) as pool:
-            results = list(pool.map(leg, eps_sorted))
-    else:
-        results = [leg(e) for e in eps_sorted]
+    results = [leg(e) for e in eps_sorted]
 
     deltas_re = np.array([r[0] for r in results])
     deltas_im = np.array([r[1] for r in results])
@@ -219,7 +219,7 @@ def run_trajectory(cfg: ExperimentConfig) -> dict:
     positions = spec.positions()
     x0 = analysis.mean_position(state.site_probabilities(), positions, eps)
     # keep well clear of the periodic boundary: packet width plus margin
-    safe = cfg.x_max - 4.0 / cfg.sigma - 2.0
+    safe = cfg.safe_zone()
     times, xbar, xcl = [0.0], [x0], [x0]
     wcfg = _walk_config(cfg, eps)
     steps = int(round(cfg.t_max / eps))

@@ -45,10 +45,20 @@ def write_checkpoint(path, state: WalkState) -> None:
 
 
 def read_checkpoint(path) -> WalkState:
+    """The state written by write_checkpoint.  Its lattice spans time slices
+    0..max(j, 2); walker.step accepts it on any field with the same sites."""
     with open(path, "rb") as fh:
-        dim, p_max, j, eps = _CHECKPOINT_HEADER.unpack(fh.read(_CHECKPOINT_HEADER.size))
+        header = fh.read(_CHECKPOINT_HEADER.size)
         raw = fh.read()
-    amps = np.frombuffer(raw, dtype="<c16").reshape(2 * p_max + 1, 2 * dim)
+    if len(header) < _CHECKPOINT_HEADER.size:
+        raise ValueError(f"truncated checkpoint {path}: {len(header)}-byte header")
+    dim, p_max, j, eps = _CHECKPOINT_HEADER.unpack(header)
+    shape = (2 * p_max + 1, 2 * dim)
+    size = 16 * shape[0] * shape[1]
+    if dim < 1 or p_max < 0 or len(raw) != size:
+        raise ValueError(f"truncated or corrupt checkpoint {path}: {len(raw)} payload bytes, "
+                         f"expected {size} for N={dim}, p_max={p_max}")
+    amps = np.frombuffer(raw, dtype="<c16").reshape(shape)
     spec = LatticeSpec(eps, p_max, max(j, 2))
     return WalkState(spec, dim, j, amps.copy())
 

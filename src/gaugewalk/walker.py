@@ -72,12 +72,17 @@ def coin_matrix(theta: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.block([[c * p, s * q], [s * p, c * q]])
 
 
+def _same_space(a: LatticeSpec, b: LatticeSpec) -> bool:
+    """Same sites: a state is valid on any time extent with its spacing."""
+    return a.epsilon == b.epsilon and a.p_max == b.p_max
+
+
 def step(state: WalkState, field: GaugeField, config: WalkConfig) -> WalkState:
     """One walk step: shift (psi^- from p+1, psi^+ from p-1, periodic), then
     the coin with P, Q taken at the destination site (j, p)."""
     if state.dim != field.dim or state.dim != config.dim:
         raise DimensionError("state, field and config dimensions disagree")
-    if state.spec != field.spec:
+    if not _same_space(state.spec, field.spec):
         raise DimensionError("state and field lattices disagree")
     minus_in = np.roll(state.psi_minus, -1, axis=0)  # psi^-_{j, p+1}
     plus_in = np.roll(state.psi_plus, 1, axis=0)     # psi^+_{j, p-1}
@@ -103,7 +108,7 @@ def evolve(state: WalkState, field: GaugeField, config: WalkConfig, steps: int,
 
 def gauge_transform_state(state: WalkState, g: GaugeTransformation) -> WalkState:
     """Psi' = (1_2 tensor G_{j,p}) Psi, i.e. G applied to both N-blocks."""
-    if state.dim != g.dim or state.spec != g.spec:
+    if state.dim != g.dim or not _same_space(state.spec, g.spec):
         raise DimensionError("gauge transformation does not match state")
     gj = g.G(state.j)
     out = np.empty_like(state.amplitudes)

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from gaugewalk import cli
+from gaugewalk import dirac as dr
 from gaugewalk import experiments as ex
 from gaugewalk import lattice as lat
 from gaugewalk import unitary as un
+from gaugewalk import walker as wk
 
 
 class TestExperimentConfig:
@@ -38,12 +40,6 @@ class TestExperimentConfig:
         path.write_text(json.dumps({"experiment": "evolve", "bogus": 1}))
         with pytest.raises(ex.ConfigError):
             ex.ExperimentConfig.from_json(path)
-
-    def test_max_workers_env(self, monkeypatch):
-        monkeypatch.delenv("GAUGEWALK_THREADS", raising=False)
-        assert ex.max_workers() == 1
-        monkeypatch.setenv("GAUGEWALK_THREADS", "4")
-        assert ex.max_workers() == 4
 
 
 class TestPotentialLibraries:
@@ -131,8 +127,48 @@ class TestCliExitCodes:
         assert report["passed"]
         assert all(v <= 1e-10 for v in report["residuals"].values())
 
-    def test_convergence_under_resolution_is_exit_1(self, capsys):
-        # k0 + 4 sigma beyond the lattice Nyquist must be refused up front
+    def test_convergence_under_resolution_is_exit_1(self, no_compute, capsys):
+        # k0 + 4 sigma beyond the lattice Nyquist must be refused up front:
+        # 4 sigma = 12 exceeds pi / 0.4 ~ 7.9 on the coarsest leg
         rc = cli.main(["convergence", "--epsilon", "0.4", "--epsilon", "0.2",
                        "--epsilon", "0.1", "--sigma", "3.0"])
         assert rc == 1
+        assert "under-resolved at eps=0.4" in capsys.readouterr().err
+
+
+@pytest.fixture
+def no_compute(monkeypatch):
+    """Make any walk step or Dirac solve fail the test: a refused config must
+    be refused before either runs."""
+    def called(*args, **kwargs):
+        raise AssertionError("computation started for an invalid config")
+
+    monkeypatch.setattr(wk, "step", called)
+    monkeypatch.setattr(dr, "solve", called)
+
+
+class TestValidationBeforeCompute:
+    @pytest.mark.parametrize("epsilons", [("0.2", "0.1"), ("0.2", "0.1", "0.1"), ()],
+                             ids=["two", "duplicate", "none"])
+    def test_convergence_epsilon_list(self, no_compute, tmp_path, capsys, epsilons):
+        argv = ["convergence", "--x-max", "4", "--t-max", "0.2", "--out", str(tmp_path / "run")]
+        for eps in epsilons:
+            argv += ["--epsilon", eps]
+        if not epsilons:
+            argv += ["--config", str(tmp_path / "c.json")]
+            (tmp_path / "c.json").write_text(json.dumps({"epsilons": []}))
+        assert cli.main(argv) == 1
+        assert "3 distinct epsilons" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_trajectory_without_safe_zone(self, no_compute, tmp_path, capsys):
+        # 4 / sigma = 400 leaves no room on a domain of half-width 30
+        rc = cli.main(["trajectory", "--epsilon", "0.2", "--x-max", "30", "--sigma", "0.01",
+                       "--t-max", "2", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert "no room for the packet" in capsys.readouterr().err
+
+    def test_nonpositive_sigma(self, no_compute, tmp_path, capsys):
+        rc = cli.main(["trajectory", "--sigma", "0", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert "sigma must be positive" in capsys.readouterr().err

@@ -3,6 +3,8 @@ time stepping, plane-wave spinors, Gaussian packets."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaugewalk import dirac as dr
 from gaugewalk import lattice as lat
@@ -229,3 +231,110 @@ class TestSolve:
         times = []
         dr.solve(f, free_params(dim=1), 0.05, 0.01, observer=lambda t, _: times.append(t))
         assert times == pytest.approx([0.01, 0.02, 0.03, 0.04, 0.05])
+
+
+def random_uniform_params(dim, seed, mass=0.3):
+    """Time-dependent coordinates, uniform in x: c(t) = a + b t + d sin(w t)."""
+    rng = np.random.default_rng(seed)
+    count = dim * dim
+    coef = rng.normal(0, 0.5, (2, 3, count))
+    w = rng.uniform(0.5, 3.0, 2)
+
+    def coords(i):
+        return lambda t, x: coef[i, 0] + coef[i, 1] * t + coef[i, 2] * np.sin(w[i] * t)
+
+    return dr.DiracParams(mass, coords(0), coords(1), un.generators_u(dim))
+
+
+def broadcast_params(params, n_points):
+    """The same potential handed over as one coordinate vector per point, so
+    solve takes the x-space path."""
+    def per_point(fn):
+        return lambda t, x: np.broadcast_to(fn(t, x), (n_points, len(params.gens.gens)))
+
+    return dr.DiracParams(params.mass, per_point(params.b0), per_point(params.b1), params.gens)
+
+
+def x_space_march(f, params, t_max, dt):
+    """solve's time stepping written out, with x-space rk2_step calls only."""
+    t = 0.0
+    while t < t_max - 1e-12:
+        h = min(dt, t_max - t)
+        f = dr.rk2_step(f, params, t, h)
+        t += h
+    return f
+
+
+def random_field(grid, dim, seed):
+    rng = np.random.default_rng(seed)
+    shape = (grid.n_points, 2 * dim)
+    return dr.SpinorField(grid, dim, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+class TestSpectralMarch:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.integers(8, 41), st.integers(0, 10_000))
+    def test_matches_x_space_rk2(self, dim, n_points, seed):
+        grid = dr.SpectralGrid(n_points, -0.25 * n_points, 0.5)
+        params = random_uniform_params(dim, seed)
+        f = random_field(grid, dim, seed + 1)
+        assert params.uniform_in_x(grid.positions())
+        want = x_space_march(f, params, 0.53, 0.02)
+        got = dr.solve(f, params, 0.53, 0.02)
+        assert not got.spectral
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_even_grid_nyquist_mode(self, dim):
+        grid = dr.SpectralGrid(32, -8.0, 0.5)
+        nyquist = np.cos(np.pi * grid.positions() / grid.dx)  # (-1)^i
+        f = random_field(grid, dim, seed=dim)
+        f = dr.SpinorField(grid, dim, f.values + 3.0 * nyquist[:, None])
+        assert np.min(np.abs(f.to_spectral().values[16])) > 1.0
+        params = random_uniform_params(dim, seed=10 + dim)
+        want = x_space_march(f, params, 0.6, 0.02)
+        got = dr.solve(f, params, 0.6, 0.02)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.integers(8, 41), st.integers(0, 10_000))
+    def test_per_point_potential_takes_x_space_path(self, dim, n_points, seed):
+        grid = dr.SpectralGrid(n_points, -0.25 * n_points, 0.5)
+        params = random_uniform_params(dim, seed)
+        per_point = broadcast_params(params, n_points)
+        assert not per_point.uniform_in_x(grid.positions())
+        f = random_field(grid, dim, seed + 1)
+        got = dr.solve(f, per_point, 0.3, 0.02)
+        want = dr.solve(f, params, 0.3, 0.02)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13
+
+    def test_observer_receives_x_space_fields(self):
+        grid = grid64()
+        params = random_uniform_params(2, seed=3)
+        f = random_field(grid, 2, seed=4)
+        seen = []
+        out = dr.solve(f, params, 0.05, 0.01, observer=lambda t, g: seen.append((t, g)))
+        assert [g.spectral for _, g in seen] == [False] * 5
+        assert np.array_equal(seen[-1][1].values, out.values)
+        one = x_space_march(f, params, 0.01, 0.01)
+        assert np.max(np.abs(seen[0][1].values - one.values)) <= 1e-13
+
+    def test_spectral_field_rejects_x_dependent_potential(self):
+        grid = grid64()
+        gens = un.generators_u(1)
+        params = dr.DiracParams(0.1, lambda t, x: np.sin(x)[:, None], lambda t, x: np.zeros(1), gens)
+        f = random_field(grid, 1, seed=2).to_spectral()
+        with pytest.raises(un.DimensionError):
+            dr.dirac_rhs(f, params, 0.0)
+        with pytest.raises(un.DimensionError):
+            dr.solve(f, params, 0.1, 0.01)
+        # the x-space field is marched as before
+        assert np.all(np.isfinite(dr.solve(f.to_physical(), params, 0.1, 0.01).values))
+
+    def test_round_trip(self):
+        f = random_field(grid64(), 2, seed=6)
+        spec = f.to_spectral()
+        assert spec.spectral and spec.to_spectral() is spec
+        assert f.to_physical() is f
+        assert np.max(np.abs(spec.to_physical().values - f.values)) <= 1e-14
+        assert np.allclose(spec.site_probabilities(), f.site_probabilities(), atol=1e-14)

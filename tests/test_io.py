@@ -39,6 +39,31 @@ class TestCheckpoint:
         expected = 4 + 4 + 4 + 8 + state.amplitudes.size * 16
         assert path.stat().st_size == expected
 
+    def test_resume_matches_uninterrupted_run(self, tmp_path):
+        spec = lat.LatticeSpec(0.1, 6, 24)
+        field = lat.GaugeField.random(spec, 2, seed=4, scale=0.6)
+        config = wk.WalkConfig(2, 0.3)
+        rng = np.random.default_rng(5)
+        amps = rng.standard_normal((spec.n_sites, 4)) + 1j * rng.standard_normal((spec.n_sites, 4))
+        start = wk.WalkState(spec, 2, 0, amps / np.linalg.norm(amps))
+        path = tmp_path / "mid.ckpt"
+        gio.write_checkpoint(path, wk.evolve(start, field, config, 10))
+        resumed = wk.evolve(gio.read_checkpoint(path), field, config, 10)
+        straight = wk.evolve(start, field, config, 20)
+        assert resumed.j == straight.j == 20
+        assert np.array_equal(resumed.amplitudes, straight.amplitudes)
+
+    def test_truncated_file_raises(self, tmp_path):
+        path = tmp_path / "s.ckpt"
+        gio.write_checkpoint(path, make_state())
+        data = path.read_bytes()
+        path.write_bytes(data[:-8])
+        with pytest.raises(ValueError, match="truncated"):
+            gio.read_checkpoint(path)
+        path.write_bytes(data[:12])
+        with pytest.raises(ValueError, match="truncated"):
+            gio.read_checkpoint(path)
+
 
 class TestStateCsv:
     def test_schema_and_probability_column(self, tmp_path):
