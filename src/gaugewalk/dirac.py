@@ -22,8 +22,8 @@ from .unitary import DimensionError, GeneratorSet
 class NumericalAbort(RuntimeError):
     """Raised when the solution stops being finite; carries the time."""
 
-    def __init__(self, t: float):
-        super().__init__(f"non-finite field at t = {t:.6g}")
+    def __init__(self, t: float, cause: str = "non-finite field"):
+        super().__init__(f"{cause} at t = {t:.6g}")
         self.t = t
 
 

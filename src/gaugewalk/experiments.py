@@ -23,6 +23,13 @@ class InvariantViolation(RuntimeError):
     pass
 
 
+class LeftSafeZone(dirac.NumericalAbort):
+    """The walk's mean position came too close to the periodic boundary."""
+
+    def __init__(self, xbar: float, safe: float, t: float):
+        super().__init__(t, f"mean position {xbar:.6g} left the safe zone |x| <= {safe:.6g}")
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str = "convergence"
@@ -59,10 +66,11 @@ class ExperimentConfig:
             # the slope fit needs three distinct lattice steps
             if len(self.epsilons) < 3 or len(set(self.epsilons)) != len(self.epsilons):
                 raise ConfigError("convergence needs at least 3 distinct epsilons")
-            for eps in self.epsilons:
-                # the packet's wavenumber support must fit under the lattice Nyquist
-                if abs(self.k0) + 4 * self.sigma > np.pi / eps:
-                    raise ConfigError(f"packet under-resolved at eps={eps}: |k0| + 4*sigma exceeds pi/eps")
+        walked = {"convergence": self.epsilons, "evolve": (self.epsilon,), "trajectory": (self.epsilon,)}
+        for eps in walked.get(self.experiment, ()):
+            # the packet's wavenumber support must fit under the lattice Nyquist
+            if abs(self.k0) + 4 * self.sigma > np.pi / eps:
+                raise ConfigError(f"packet under-resolved at eps={eps}: |k0| + 4*sigma exceeds pi/eps")
         if self.experiment == "trajectory" and self.safe_zone() <= 0:
             raise ConfigError(f"no room for the packet: x_max - 4/sigma - 2 = {self.safe_zone():.3g} <= 0")
 
@@ -77,6 +85,11 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    @property
+    def epsilon(self) -> float:
+        """The lattice step of a single-walk run (evolve, trajectory)."""
+        return self.epsilons[0] if self.epsilons else 0.1
 
     def safe_zone(self) -> float:
         """Largest |mean position| the trajectory run accepts: the domain
@@ -209,7 +222,7 @@ def run_trajectory(cfg: ExperimentConfig) -> dict:
         raise ConfigError("the trajectory experiment is defined for dim = 2")
     if cfg.mass <= 0:
         raise ConfigError("trajectory comparison needs mass > 0")
-    eps = cfg.epsilons[0] if cfg.epsilons else 0.1
+    eps = cfg.epsilon
     spec = _lattice_for(cfg, eps)
     gens = unitary.generators_u(2)
     b_p, b_q, _, _ = su2_electric_potentials(cfg.e_ym)
@@ -228,7 +241,7 @@ def run_trajectory(cfg: ExperimentConfig) -> dict:
         t = n * eps
         xw = analysis.mean_position(state.site_probabilities(), positions, eps)
         if abs(xw) > safe:
-            raise dirac.NumericalAbort(t)
+            raise LeftSafeZone(xw, safe, t)
         xc, _ = classical.closed_form_trajectory(x0, cfg.k0, cfg.e_ym, cfg.g, cfg.mass, t)
         times.append(t)
         xbar.append(xw)
@@ -375,7 +388,7 @@ def abelian_consistency_residual(seed: int) -> float:
 
 def run_evolve(cfg: ExperimentConfig) -> dict:
     """Evolve a packet on the SU(2) electric field and dump the final state."""
-    eps = cfg.epsilons[0] if cfg.epsilons else 0.1
+    eps = cfg.epsilon
     spec = _lattice_for(cfg, eps)
     gens = unitary.generators_u(cfg.dim)
     if cfg.dim == 2:

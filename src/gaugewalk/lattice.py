@@ -3,7 +3,7 @@ curvature built from the holonomy-like products U and V."""
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +22,11 @@ class SiteRangeError(IndexError):
     pass
 
 
+# Time slices each field or transformation keeps built: a curvature needs
+# three neighbouring slices, a transformed curvature four slices of G.
+SLICE_CACHE = 4
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Spacetime lattice: sites p = -p_max .. p_max at x_p = p*eps, time
@@ -30,15 +35,12 @@ class LatticeSpec:
     epsilon: float
     p_max: int
     j_max: int
-    boundary: str = "periodic"
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.p_max < 2 or self.j_max < 2:
             raise ValueError("p_max and j_max must be >= 2")
-        if self.boundary != "periodic":
-            raise ValueError(f"unsupported boundary {self.boundary!r}")
 
     @property
     def n_sites(self) -> int:
@@ -60,38 +62,16 @@ def _check_time_index(spec: LatticeSpec, j: int, lo: int = 0) -> None:
         raise SiteRangeError(f"time index {j} outside [{lo}, {spec.j_max}]")
 
 
-class _SliceCache:
-    """Per-time-slice lazy materialization; thread-safe and deterministic."""
-
-    def __init__(self, build, capacity: int = 4):
-        self._build = build
-        self._capacity = capacity
-        self._cache: dict[int, np.ndarray] = {}
-        self._order: list[int] = []
-        self._lock = threading.Lock()
-
-    def __call__(self, j: int) -> np.ndarray:
-        with self._lock:
-            if j in self._cache:
-                return self._cache[j]
-        value = self._build(j)
-        with self._lock:
-            if j not in self._cache:
-                self._cache[j] = value
-                self._order.append(j)
-                while len(self._order) > self._capacity:
-                    self._cache.pop(self._order.pop(0), None)
-            return self._cache[j]
-
-
 def _validate_slice(arr: np.ndarray, spec: LatticeSpec, dim: int, j: int, what: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=complex)
     if arr.shape != (spec.n_sites, dim, dim):
         raise DimensionError(f"{what} slice j={j} has shape {arr.shape}, expected {(spec.n_sites, dim, dim)}")
-    if not np.all(np.isfinite(arr)):
-        bad = np.argwhere(~np.isfinite(arr))[0]
+    # a slice uniform in x is one matrix viewed at every site: check it once
+    distinct = arr[:1] if arr.strides[0] == 0 else arr
+    if not np.all(np.isfinite(distinct)):
+        bad = np.argwhere(~np.isfinite(distinct))[0]
         raise ValueError(f"non-finite {what} entry at j={j}, p={int(bad[0]) - spec.p_max}")
-    defect = unitarity_defect(arr)
+    defect = unitarity_defect(distinct)
     if defect > CONSTRUCTION_TOL:
         raise ValueError(f"{what} slice j={j} not unitary (defect {defect:.2e})")
     arr.setflags(write=False)
@@ -100,22 +80,21 @@ def _validate_slice(arr: np.ndarray, spec: LatticeSpec, dim: int, j: int, what: 
 
 class GaugeField:
     """The discrete gauge potential R = (P, Q): one U(N) matrix pair per
-    spacetime site, materialized lazily per time slice."""
+    spacetime site.  slice_fn(j) gives (P_j, Q_j), each (n_sites, N, N); a
+    slice uniform in x is one matrix broadcast to that shape (stride 0 over
+    sites) and is validated once, not per site.  Built slices are read-only;
+    each instance memoises its last SLICE_CACHE and rebuilds evicted ones."""
 
-    def __init__(self, spec: LatticeSpec, dim: int, slice_fn, cache_size: int = 4):
+    def __init__(self, spec: LatticeSpec, dim: int, slice_fn):
         self.spec = spec
         self.dim = dim
-        self._slices = _SliceCache(
-            lambda j: tuple(
-                _validate_slice(a, spec, dim, j, w)
-                for a, w in zip(slice_fn(j), ("P", "Q"))
-            ),
-            capacity=cache_size,
+        self._slices = functools.lru_cache(SLICE_CACHE)(
+            lambda j: tuple(_validate_slice(a, spec, dim, j, w) for a, w in zip(slice_fn(j), ("P", "Q")))
         )
 
     @classmethod
     def identity(cls, spec: LatticeSpec, dim: int) -> "GaugeField":
-        eye = np.broadcast_to(np.eye(dim, dtype=complex), (spec.n_sites, dim, dim)).copy()
+        eye = np.broadcast_to(np.eye(dim, dtype=complex), (spec.n_sites, dim, dim))
         return cls(spec, dim, lambda j: (eye, eye))
 
     @classmethod
@@ -124,26 +103,25 @@ class GaugeField:
         functions take (t, x-array) and return (n_sites, count) or (count,)."""
 
         x = spec.positions()
+        shape = (spec.n_sites, gens.dim, gens.dim)
 
         def sample(fn, t):
             coords = np.asarray(fn(t, x), dtype=float)
-            if coords.ndim == 1:
-                coords = np.broadcast_to(coords, (spec.n_sites, coords.shape[0]))
+            if coords.shape[:-1] not in ((), (spec.n_sites,)):
+                raise DimensionError(f"potential sample at t={t} has shape {coords.shape}")
             if not np.all(np.isfinite(coords)):
                 bad = np.argwhere(~np.isfinite(coords))[0]
-                raise ValueError(f"non-finite potential sample at t={t}, x={x[bad[0]]}")
-            return exp_map(spec.epsilon * coords, gens)
+                raise ValueError(f"non-finite potential sample at t={t}"
+                                 + (f", x={x[bad[0]]}" if coords.ndim == 2 else ""))
+            return np.broadcast_to(exp_map(spec.epsilon * coords, gens), shape)
 
-        field_ = cls(spec, gens.dim, lambda j: (sample(b_p, spec.time(j)), sample(b_q, spec.time(j))))
-        field_.source = (b_p, b_q)
-        return field_
+        return cls(spec, gens.dim, lambda j: (sample(b_p, spec.time(j)), sample(b_q, spec.time(j))))
 
     @classmethod
     def from_arrays(cls, spec: LatticeSpec, p_arr: np.ndarray, q_arr: np.ndarray) -> "GaugeField":
         p_arr = np.asarray(p_arr, dtype=complex)
         q_arr = np.asarray(q_arr, dtype=complex)
-        dim = p_arr.shape[-1]
-        return cls(spec, dim, lambda j: (p_arr[j], q_arr[j]), cache_size=spec.j_max + 1)
+        return cls(spec, p_arr.shape[-1], lambda j: (p_arr[j], q_arr[j]))
 
     @classmethod
     def random(cls, spec: LatticeSpec, dim: int, seed: int, scale: float = 1.0) -> "GaugeField":
@@ -176,14 +154,14 @@ class GaugeField:
 class GaugeTransformation:
     """A lattice of U(N) matrices G_{j,p}."""
 
-    def __init__(self, spec: LatticeSpec, dim: int, slice_fn, cache_size: int = 6):
+    def __init__(self, spec: LatticeSpec, dim: int, slice_fn):
         self.spec = spec
         self.dim = dim
-        self._slices = _SliceCache(lambda j: _validate_slice(slice_fn(j), spec, dim, j, "G"), capacity=cache_size)
+        self._slices = functools.lru_cache(SLICE_CACHE)(lambda j: _validate_slice(slice_fn(j), spec, dim, j, "G"))
 
     @classmethod
     def identity(cls, spec: LatticeSpec, dim: int) -> "GaugeTransformation":
-        eye = np.broadcast_to(np.eye(dim, dtype=complex), (spec.n_sites, dim, dim)).copy()
+        eye = np.broadcast_to(np.eye(dim, dtype=complex), (spec.n_sites, dim, dim))
         return cls(spec, dim, lambda j: eye)
 
     @classmethod
@@ -358,39 +336,11 @@ def curvature_factorization_check(field_: GaugeField, j: int, p: int) -> tuple[f
     """Residual of F(R) = F(delta_R) F(Rbar) at one site, where every P, Q is
     split into its U(1) phase and SU(N) part.  Also reports whether any
     factorization sat on the det = -1 branch cut."""
-    spec = field_.spec
-    dim = field_.dim
-    branch_hit = False
-
-    phases_p, phases_q = {}, {}
-    specials_p, specials_q = {}, {}
-    for jj in (j - 1, j, j + 1):
-        pp = np.empty(spec.n_sites, dtype=complex)
-        qq = np.empty(spec.n_sites, dtype=complex)
-        sp = np.empty((spec.n_sites, dim, dim), dtype=complex)
-        sq = np.empty((spec.n_sites, dim, dim), dtype=complex)
-        for i in range(spec.n_sites):
-            fp = factorize(field_.P(jj)[i])
-            fq = factorize(field_.Q(jj)[i])
-            branch_hit = branch_hit or fp.branch_discontinuous or fq.branch_discontinuous
-            pp[i], qq[i] = fp.delta, fq.delta
-            sp[i], sq[i] = fp.special, fq.special
-        phases_p[jj], phases_q[jj] = pp, qq
-        specials_p[jj], specials_q[jj] = sp, sq
-
-    def sliced(table_p, table_q, expand):
-        def build(jj):
-            p_s = table_p[jj][..., None, None] * np.eye(1) if expand else table_p[jj]
-            q_s = table_q[jj][..., None, None] * np.eye(1) if expand else table_q[jj]
-            return p_s, q_s
-
-        return build
-
-    delta_field = GaugeField(spec, 1, sliced(phases_p, phases_q, True))
-    bar_field = GaugeField(spec, dim, sliced(specials_p, specials_q, False))
-
     f_full = discrete_curvature(field_, j, p).value
-    f_delta = discrete_curvature(delta_field, j, p).value  # 1x1
-    f_bar = discrete_curvature(bar_field, j, p).value
+    # slices j-1, j, j+1 of (P, Q) become slices 0, 1, 2 of a three-slice window
+    split = factorize(np.array([(field_.P(k), field_.Q(k)) for k in (j - 1, j, j + 1)]))
+    window = LatticeSpec(field_.spec.epsilon, field_.spec.p_max, 2)
+    f_delta, f_bar = (discrete_curvature(GaugeField.from_arrays(window, part[:, 0], part[:, 1]), 1, p).value
+                      for part in (split.delta[..., None, None], split.special))
     residual = float(np.max(np.abs(f_full - complex(f_delta[0, 0]) * f_bar)))
-    return residual, branch_hit
+    return residual, bool(np.any(split.branch_discontinuous))

@@ -127,28 +127,30 @@ def exp_map(coords: np.ndarray, gens: GeneratorSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FactorResult:
-    """U(1) x SU(N) split M = delta * special, principal branch."""
+    """U(1) x SU(N) split M = delta * special, principal branch.  For a stack
+    of matrices, delta and branch_discontinuous are arrays over the stack."""
 
-    delta: complex
+    delta: complex | np.ndarray
     special: np.ndarray
-    branch_discontinuous: bool  # det M at (or numerically near) -1
+    branch_discontinuous: bool | np.ndarray  # det M at (or numerically near) -1
 
 
 def factorize(m: np.ndarray, tol: float = INPUT_TOL) -> FactorResult:
-    """Split a unitary M into a U(1) phase delta = exp(i alpha / N), with alpha
-    the principal argument of det M in (-pi, pi], and an SU(N) part M / delta."""
+    """Split a unitary M, or each matrix of a stack (..., N, N), into a U(1)
+    phase delta = exp(i alpha / N), with alpha the principal argument of
+    det M in (-pi, pi], and an SU(N) part M / delta."""
     m = np.asarray(m, dtype=complex)
     defect = unitarity_defect(m)
     if defect > tol:
         raise UnitarityError(f"input not unitary (defect {defect:.2e} > {tol:.1e})")
-    n = m.shape[-1]
-    det = np.linalg.det(m)
-    alpha = float(np.angle(det))
-    if alpha <= -np.pi:  # np.angle may return -pi; the principal interval is (-pi, pi]
-        alpha = np.pi
-    branch = np.pi - abs(alpha) < 1e-9
-    delta = complex(np.exp(1j * alpha / n))
-    return FactorResult(delta, m / delta, branch)
+    alpha = np.angle(np.linalg.det(m))
+    # np.angle may return -pi; the principal interval is (-pi, pi]
+    alpha = np.where(alpha <= -np.pi, np.pi, alpha)
+    branch = np.pi - np.abs(alpha) < 1e-9
+    delta = np.exp(1j * alpha / m.shape[-1])
+    if m.ndim == 2:
+        return FactorResult(complex(delta), m / delta, bool(branch))
+    return FactorResult(delta, m / delta[..., None, None], branch)
 
 
 def su2_closed_form(v: np.ndarray) -> np.ndarray:

@@ -86,12 +86,10 @@ def step(state: WalkState, field: GaugeField, config: WalkConfig) -> WalkState:
         raise DimensionError("state and field lattices disagree")
     minus_in = np.roll(state.psi_minus, -1, axis=0)  # psi^-_{j, p+1}
     plus_in = np.roll(state.psi_plus, 1, axis=0)     # psi^+_{j, p-1}
-    p_rot = np.einsum("pij,pj->pi", field.P(state.j), minus_in)
-    q_rot = np.einsum("pij,pj->pi", field.Q(state.j), plus_in)
+    p_rot = (field.P(state.j) @ minus_in[..., None])[..., 0]
+    q_rot = (field.Q(state.j) @ plus_in[..., None])[..., 0]
     c, s = np.cos(config.theta), 1j * np.sin(config.theta)
-    out = np.empty_like(state.amplitudes)
-    out[:, : state.dim] = c * p_rot + s * q_rot
-    out[:, state.dim :] = s * p_rot + c * q_rot
+    out = np.hstack([c * p_rot + s * q_rot, s * p_rot + c * q_rot])
     return WalkState(state.spec, state.dim, state.j + 1, out)
 
 
@@ -110,8 +108,7 @@ def gauge_transform_state(state: WalkState, g: GaugeTransformation) -> WalkState
     """Psi' = (1_2 tensor G_{j,p}) Psi, i.e. G applied to both N-blocks."""
     if state.dim != g.dim or not _same_space(state.spec, g.spec):
         raise DimensionError("gauge transformation does not match state")
-    gj = g.G(state.j)
-    out = np.empty_like(state.amplitudes)
-    out[:, : state.dim] = np.einsum("pij,pj->pi", gj, state.psi_minus)
-    out[:, state.dim :] = np.einsum("pij,pj->pi", gj, state.psi_plus)
-    return WalkState(state.spec, state.dim, state.j, out)
+    # rows of the (n_sites, 2, N) view are the two N-blocks at a site
+    blocks = state.amplitudes.reshape(state.spec.n_sites, 2, state.dim)
+    out = blocks @ np.swapaxes(g.G(state.j), -1, -2)
+    return WalkState(state.spec, state.dim, state.j, out.reshape(state.amplitudes.shape))

@@ -109,6 +109,15 @@ class TestCliExitCodes:
         assert rc == 3
         assert "numerical abort" in capsys.readouterr().err
 
+    def test_boundary_exit_names_the_safe_zone(self, tmp_path):
+        cfg = ex.ExperimentConfig(experiment="trajectory", epsilons=(0.2,), x_max=6.0, sigma=1.1,
+                                  k0=1.0, t_max=2.0, e_ym=0.05, output_dir=str(tmp_path / "run"))
+        with pytest.raises(dr.NumericalAbort) as info:
+            ex.run_trajectory(cfg)
+        message = str(info.value)
+        assert "safe zone |x| <= 0.363636" in message and "at t = " in message
+        assert "non-finite" not in message
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"t_max": 1.0, "x_max": 4.0, "sigma": 1.6,
@@ -167,6 +176,15 @@ class TestValidationBeforeCompute:
                        "--t-max", "2", "--out", str(tmp_path / "run")])
         assert rc == 1
         assert "no room for the packet" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["trajectory", "evolve"])
+    def test_walk_under_resolution(self, no_compute, tmp_path, capsys, experiment):
+        # 4 sigma = 4 exceeds pi / 1.0 at the one lattice step the run uses
+        rc = cli.main([experiment, "--epsilon", "1.0", "--sigma", "1.0", "--x-max", "20",
+                       "--t-max", "2", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert "under-resolved at eps=1.0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_nonpositive_sigma(self, no_compute, tmp_path, capsys):
         rc = cli.main(["trajectory", "--sigma", "0", "--out", str(tmp_path / "run")])

@@ -32,8 +32,6 @@ class TestLatticeSpec:
             lat.LatticeSpec(-0.1, 5, 5)
         with pytest.raises(ValueError):
             lat.LatticeSpec(0.1, 1, 5)
-        with pytest.raises(ValueError):
-            lat.LatticeSpec(0.1, 5, 5, boundary="open")
 
 
 class TestGaugeField:
@@ -97,6 +95,62 @@ class TestGaugeField:
         f = lat.GaugeField(spec, 1, lambda j: (bad, bad))
         with pytest.raises(ValueError):
             f.P(0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 10_000))
+    def test_uniform_slice_is_a_read_only_view_of_one_matrix(self, dim, seed):
+        spec = small_spec()
+        gens = un.generators_u(dim)
+        coords = np.random.default_rng(seed).normal(0, 2, (2, len(gens)))
+        uniform = lat.GaugeField.from_potentials(lambda t, x: (1 + t) * coords[0],
+                                                 lambda t, x: (1 - t) * coords[1], spec, gens)
+        per_site = lat.GaugeField.from_potentials(
+            lambda t, x: np.tile((1 + t) * coords[0], (len(x), 1)),
+            lambda t, x: np.tile((1 - t) * coords[1], (len(x), 1)), spec, gens)
+        for j in (0, 3):
+            for a, b in ((uniform.P(j), per_site.P(j)), (uniform.Q(j), per_site.Q(j))):
+                assert a.shape == b.shape == (spec.n_sites, dim, dim)
+                assert np.max(np.abs(a - b)) <= 1e-13
+                assert a.strides[0] == 0
+                assert not a.flags.writeable and not b.flags.writeable
+
+    def test_broadcast_slice_is_still_validated(self):
+        spec = small_spec()
+        shape = (spec.n_sites, 2, 2)
+        scaled = np.broadcast_to(2 * np.eye(2, dtype=complex), shape)
+        bad = np.eye(2, dtype=complex)
+        bad[1, 0] = np.nan
+        eye = np.broadcast_to(np.eye(2, dtype=complex), shape)
+        with pytest.raises(ValueError, match="not unitary"):
+            lat.GaugeField(spec, 2, lambda j: (scaled, eye)).P(0)
+        with pytest.raises(ValueError, match="non-finite Q entry"):
+            lat.GaugeField(spec, 2, lambda j: (eye, np.broadcast_to(bad, shape))).P(0)
+        with pytest.raises(ValueError, match="non-finite G entry"):
+            lat.GaugeTransformation(spec, 2, lambda j: np.broadcast_to(bad, shape)).G(0)
+        # a per-site slice is checked at every site, not only the first
+        one_bad = eye.copy()
+        one_bad[-1] *= 2
+        with pytest.raises(ValueError, match="not unitary"):
+            lat.GaugeTransformation(spec, 2, lambda j: one_bad).G(0)
+
+    def test_potential_samples_checked(self):
+        spec = small_spec()
+        gens = un.generators_u(1)
+        ok = lambda t, x: np.array([0.3])
+
+        def build(fn):
+            return lat.GaugeField.from_potentials(fn, ok, spec, gens).P(2)
+
+        with pytest.raises(un.DimensionError):
+            build(lambda t, x: np.zeros((spec.n_sites + 1, 1)))
+        with pytest.raises(un.DimensionError):
+            build(lambda t, x: np.zeros(2))
+        with pytest.raises(ValueError, match=r"non-finite potential sample at t=0\.2$"):
+            build(lambda t, x: np.array([np.inf]))
+        per_site = np.zeros((spec.n_sites, 1))
+        per_site[spec.site_index(1)] = np.nan
+        with pytest.raises(ValueError, match=r"at t=0\.2, x=0\.1"):
+            build(lambda t, x: per_site)
 
     def test_at_uses_lattice_labels(self):
         spec = small_spec()
@@ -307,3 +361,21 @@ class TestFactorizationCheck:
         residual, branch = lat.curvature_factorization_check(f, 4, -2)
         if not branch:
             assert residual <= 1e-12
+
+    def test_branch_cut_reported(self):
+        # P_{3,p_max} = diag(1, -1) has det = -1, on the branch cut; the check
+        # at j reads slices j-1 .. j+1
+        spec = small_spec()
+        eye = np.broadcast_to(np.eye(2, dtype=complex), (spec.n_sites, 2, 2))
+        flipped = eye.copy()
+        flipped[-1] = np.diag([1.0, -1.0])
+        f = lat.GaugeField(spec, 2, lambda j: (flipped if j == 3 else eye, eye))
+        assert [lat.curvature_factorization_check(f, j, 0)[1] for j in range(1, 6)] == \
+            [False, True, True, True, False]
+
+    def test_range_checked(self):
+        spec = small_spec()
+        f = lat.GaugeField.identity(spec, 2)
+        for j in (0, spec.j_max):
+            with pytest.raises(lat.SiteRangeError):
+                lat.curvature_factorization_check(f, j, 0)

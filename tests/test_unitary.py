@@ -163,6 +163,30 @@ class TestFactorize:
             assert abs(np.linalg.det(res.special) - 1) <= 1e-10
             assert abs(abs(res.delta) - 1) <= 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 10_000))
+    def test_stack_matches_single_matrices(self, n, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.array([[un.random_unitary(n, rng) for _ in range(3)] for _ in range(2)])
+        # det = -1 exactly, and det approaching -1 from below the cut
+        stack[1, 2] = np.diag([-1.0] + [1.0] * (n - 1))
+        stack[0, 1] = np.diag([np.exp(-1j * (np.pi - 1e-12))] + [1.0] * (n - 1))
+        res = un.factorize(stack)
+        assert res.delta.shape == res.branch_discontinuous.shape == (2, 3)
+        assert res.special.shape == stack.shape
+        for idx in np.ndindex(2, 3):
+            one = un.factorize(stack[idx])
+            assert isinstance(one.delta, complex) and isinstance(one.branch_discontinuous, bool)
+            assert abs(res.delta[idx] - one.delta) <= 1e-15
+            assert np.max(np.abs(res.special[idx] - one.special)) <= 1e-15
+            assert res.branch_discontinuous[idx] == one.branch_discontinuous
+        assert res.branch_discontinuous[1, 2] and res.branch_discontinuous[0, 1]
+
+    def test_stack_rejects_any_non_unitary_matrix(self):
+        stack = np.array([np.eye(2), 2 * np.eye(2)], dtype=complex)
+        with pytest.raises(un.UnitarityError):
+            un.factorize(stack)
+
 
 class TestUnitarityHelpers:
     def test_defect_values(self):

@@ -116,6 +116,40 @@ class TestStep:
         assert abs(after - before) <= 1e-12
 
 
+def _fields(spec, dim, seed):
+    """A random field and a random transformation, and x-uniform ones built
+    from broadcast views of one matrix per slice."""
+    rng = np.random.default_rng(seed)
+    shape = (spec.n_sites, dim, dim)
+    p, q, g = (np.broadcast_to(un.random_unitary(dim, rng), shape) for _ in range(3))
+    return [(lat.GaugeField.random(spec, dim, seed), lat.GaugeTransformation.random(spec, dim, seed + 1)),
+            (lat.GaugeField(spec, dim, lambda j: (p, q)), lat.GaugeTransformation(spec, dim, lambda j: g))]
+
+
+class TestKernelsMatchEinsum:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 10_000), st.floats(-np.pi, np.pi))
+    def test_step_and_transform(self, dim, seed, theta):
+        spec = lat.LatticeSpec(0.1, 4, 6)
+        state = random_state(spec, dim, seed, j=2)
+        minus = np.roll(state.psi_minus, -1, axis=0)
+        plus = np.roll(state.psi_plus, 1, axis=0)
+        c, s = np.cos(theta), 1j * np.sin(theta)
+        for field, g in _fields(spec, dim, seed):
+            p_rot = np.einsum("pij,pj->pi", field.P(2), minus)
+            q_rot = np.einsum("pij,pj->pi", field.Q(2), plus)
+            want = np.hstack([c * p_rot + s * q_rot, s * p_rot + c * q_rot])
+            got = wk.step(state, field, wk.WalkConfig(dim, theta))
+            assert np.max(np.abs(got.amplitudes - want)) <= 1e-13
+
+            gj = g.G(2)
+            want = np.hstack([np.einsum("pij,pj->pi", gj, state.psi_minus),
+                              np.einsum("pij,pj->pi", gj, state.psi_plus)])
+            got = wk.gauge_transform_state(state, g)
+            assert got.j == 2
+            assert np.max(np.abs(got.amplitudes - want)) <= 1e-13
+
+
 class TestEvolve:
     def test_zero_steps(self):
         spec, field = spec_and_identity()
