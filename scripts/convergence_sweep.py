@@ -11,7 +11,7 @@ import json
 from gaugewalk.experiments import ExperimentConfig, run_convergence
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--e-ym", type=float, default=0.08)
     ap.add_argument("--mass", type=float, default=0.1)
@@ -21,7 +21,7 @@ def main():
     ap.add_argument("--out", default="out/convergence")
     ap.add_argument("--quick", action="store_true",
                     help="smaller domain and horizon (~6s instead of ~1min)")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     x_max, t_max = (30.0, 10.0) if args.quick else (100.0, 50.0)
     cfg = ExperimentConfig(

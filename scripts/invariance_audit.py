@@ -10,12 +10,12 @@ import json
 from gaugewalk.experiments import ExperimentConfig, run_curvature_check, run_gauge_check
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dim", type=int, default=2)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="out/audit")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     gauge = run_gauge_check(ExperimentConfig(
         experiment="gauge-check", dim=args.dim, seed=args.seed,

@@ -11,7 +11,7 @@ import numpy as np
 from gaugewalk.experiments import ExperimentConfig, run_trajectory
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--e-ym", type=float, action="append", dest="e_yms",
                     help="field strength; repeat for several runs")
@@ -22,7 +22,7 @@ def main():
     ap.add_argument("--t-max", type=float, default=20.0)
     ap.add_argument("--x-max", type=float, default=35.0)
     ap.add_argument("--out", default="out/trajectory")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     for e_ym in args.e_yms or (0.0, 0.02, 0.05):
         cfg = ExperimentConfig(

@@ -10,25 +10,7 @@ import json
 import sys
 
 from .dirac import NumericalAbort
-from .experiments import (
-    EXPERIMENTS,
-    ConfigError,
-    ExperimentConfig,
-    InvariantViolation,
-    run_convergence,
-    run_curvature_check,
-    run_evolve,
-    run_gauge_check,
-    run_trajectory,
-)
-
-_RUNNERS = {
-    "evolve": run_evolve,
-    "convergence": run_convergence,
-    "trajectory": run_trajectory,
-    "gauge-check": run_gauge_check,
-    "curvature-check": run_curvature_check,
-}
+from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, InvariantViolation
 
 
 def _add_overrides(sub: argparse.ArgumentParser) -> None:
@@ -78,7 +60,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-        result = _RUNNERS[cfg.experiment](cfg)
+        result = EXPERIMENTS[cfg.experiment](cfg)
     except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, sample_potential
 from .unitary import DimensionError, GeneratorSet
 
 
@@ -132,7 +132,8 @@ def spectral_derivative(f: SpinorField) -> SpinorField:
 @dataclass(frozen=True)
 class DiracParams:
     """mass plus coordinate functions b0, b1: (t, x-array) -> coordinates of
-    the gauge potential in the generator basis; (count,) means uniform in x."""
+    the gauge potential in the generator basis, checked by
+    lattice.sample_potential; (count,) means uniform in x."""
 
     mass: float
     b0: object
@@ -144,18 +145,14 @@ class DiracParams:
             raise ValueError("mass must be >= 0")
 
     def uniform_in_x(self, x: np.ndarray) -> bool:
-        """True if both coordinate functions return one coordinate vector,
-        shape (count,), rather than one per point (probed at t = 0)."""
-        return all(np.ndim(fn(0.0, x)) == 1 for fn in (self.b0, self.b1))
+        """True if both coordinate functions return one coordinate vector
+        rather than one per point (probed at t = 0)."""
+        return all(sample_potential(fn, 0.0, x, len(self.gens)).ndim == 1 for fn in (self.b0, self.b1))
 
     def potential_matrices(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = []
-        for fn in (self.b0, self.b1):
-            coords = np.asarray(fn(t, x), dtype=float)
-            if not np.isfinite(coords).all():
-                raise ValueError(f"non-finite potential at t = {t}")
-            out.append(self.gens.assemble(coords))
-        return out[0], out[1]
+        gens = self.gens
+        return (gens.assemble(sample_potential(self.b0, t, x, len(gens))),
+                gens.assemble(sample_potential(self.b1, t, x, len(gens))))
 
 
 def coupling_matrix(b0: np.ndarray, b1: np.ndarray, mass: float) -> np.ndarray:

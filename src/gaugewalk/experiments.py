@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, classical, dirac, io, lattice, unitary, walker
-
-EXPERIMENTS = ("convergence", "trajectory", "gauge-check", "curvature-check", "evolve")
 
 
 class ConfigError(ValueError):
@@ -51,10 +50,18 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
+            raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {tuple(EXPERIMENTS)}")
         for name in ("mass", "e_ym", "g", "sigma", "k0", "x_max", "t_max", "dirac_dt"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
+        for name in ("dim", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer")
+        if self.theta is not None and not (isinstance(self.theta, numbers.Real) and math.isfinite(self.theta)):
+            raise ConfigError("theta must be null or a finite number")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError("output_dir must be a string")
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
         if self.sigma <= 0:
@@ -99,14 +106,7 @@ class ExperimentConfig:
 
 def su2_electric_potentials(e_ym: float):
     """The constant-SU(2)-electric-field scenario for N = 2 in the u(2)
-    coordinate basis (identity, sigma_k/2): b0 = 0, b1 = (0, e_ym*t, 0, 0),
-    so b_P = -b1 and b_Q = +b1."""
-
-    def b_p(t, x):
-        return np.array([0.0, -e_ym * t, 0.0, 0.0])
-
-    def b_q(t, x):
-        return np.array([0.0, e_ym * t, 0.0, 0.0])
+    coordinate basis (identity, sigma_k/2): b0 = 0, b1 = (0, e_ym*t, 0, 0)."""
 
     def b0(t, x):
         return np.zeros(4)
@@ -114,26 +114,22 @@ def su2_electric_potentials(e_ym: float):
     def b1(t, x):
         return np.array([0.0, e_ym * t, 0.0, 0.0])
 
-    return b_p, b_q, b0, b1
+    return b0, b1
 
 
 def generic_su2_potentials():
     """A smooth noncommuting test field whose curvature remainder shows the
     generic third-order behaviour."""
 
-    def b_p(t, x):
-        return np.array([0.0, 0.5 * np.sin(t) + 0.2, 0.3 * np.cos(1.3 * t) + 0.1, 0.4])
-
-    def b_q(t, x):
-        return np.array([0.0, -0.3 * np.cos(t), 0.6 * np.sin(0.7 * t), -0.2 + 0.1 * t])
-
     def b0(t, x):
-        return (np.asarray(b_q(t, x)) + np.asarray(b_p(t, x))) / 2
+        return np.array([0.0, 0.25 * np.sin(t) - 0.15 * np.cos(t) + 0.1,
+                         0.15 * np.cos(1.3 * t) + 0.3 * np.sin(0.7 * t) + 0.05, 0.1 + 0.05 * t])
 
     def b1(t, x):
-        return (np.asarray(b_q(t, x)) - np.asarray(b_p(t, x))) / 2
+        return np.array([0.0, -0.25 * np.sin(t) - 0.15 * np.cos(t) - 0.1,
+                         -0.15 * np.cos(1.3 * t) + 0.3 * np.sin(0.7 * t) - 0.05, -0.3 + 0.05 * t])
 
-    return b_p, b_q, b0, b1
+    return b0, b1
 
 
 def _shared_initial_condition(cfg: ExperimentConfig, spec: lattice.LatticeSpec):
@@ -142,6 +138,12 @@ def _shared_initial_condition(cfg: ExperimentConfig, spec: lattice.LatticeSpec):
     packet = dirac.gaussian_packet(cfg.k0, cfg.sigma, color, grid, cfg.mass)
     state = walker.WalkState(spec, cfg.dim, 0, packet.values.copy())
     return grid, packet, state
+
+
+def _output_dir(cfg: ExperimentConfig) -> Path:
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _lattice_for(cfg: ExperimentConfig, eps: float) -> lattice.LatticeSpec:
@@ -163,13 +165,13 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
     if cfg.dim != 2:
         raise ConfigError("the convergence experiment is defined for dim = 2")
     gens = unitary.generators_u(2)
-    b_p, b_q, b0, b1 = su2_electric_potentials(cfg.e_ym)
+    b0, b1 = su2_electric_potentials(cfg.e_ym)
     params = dirac.DiracParams(cfg.mass, b0, b1, gens)
 
     def leg(eps: float) -> tuple[float, float]:
         spec = _lattice_for(cfg, eps)
         _, packet, state = _shared_initial_condition(cfg, spec)
-        field_ = lattice.GaugeField.from_potentials(b_p, b_q, spec, gens)
+        field_ = lattice.GaugeField.from_potentials(b0, b1, spec, gens)
         state = walker.evolve(state, field_, _walk_config(cfg, eps), int(round(cfg.t_max / eps)))
         ref = dirac.solve(packet, params, cfg.t_max, dt=min(cfg.dirac_dt, eps))
         d_re = analysis.relative_difference(ref.psi_minus, state.psi_minus, eps, np.real)
@@ -194,8 +196,7 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
         )
         running.append(s)
 
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg)
     csv_path = out / "convergence.csv"
     io.write_convergence_csv(csv_path, eps_arr, deltas_re, deltas_im, running)
     summary = {
@@ -207,10 +208,7 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
         "r2_re": r2_re,
         "r2_im": r2_im,
     }
-    json_path = out / "convergence.json"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    json_path = io.write_json(out / "convergence.json", summary)
     io.write_manifest(out, cfg.to_dict(), [csv_path, json_path])
     return summary
 
@@ -225,8 +223,7 @@ def run_trajectory(cfg: ExperimentConfig) -> dict:
     eps = cfg.epsilon
     spec = _lattice_for(cfg, eps)
     gens = unitary.generators_u(2)
-    b_p, b_q, _, _ = su2_electric_potentials(cfg.e_ym)
-    field_ = lattice.GaugeField.from_potentials(b_p, b_q, spec, gens)
+    field_ = lattice.GaugeField.from_potentials(*su2_electric_potentials(cfg.e_ym), spec, gens)
     _, _, state = _shared_initial_condition(cfg, spec)
 
     positions = spec.positions()
@@ -247,8 +244,7 @@ def run_trajectory(cfg: ExperimentConfig) -> dict:
         xbar.append(xw)
         xcl.append(xc)
 
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg)
     csv_path = out / "trajectory.csv"
     io.write_trajectory_csv(csv_path, times, xbar, xcl, cfg.e_ym)
     io.write_manifest(out, cfg.to_dict(), [csv_path])
@@ -280,8 +276,8 @@ def gauge_check_residuals(dim: int, spec: lattice.LatticeSpec, seed: int, steps:
     sites = rng.integers(-spec.p_max, spec.p_max + 1, size=8)
     js = rng.integers(1, spec.j_max, size=8)
     for j, p in zip(js, sites):
-        f_plain = lattice.discrete_curvature(field_, int(j), int(p)).value
-        f_primed = lattice.discrete_curvature(field_t, int(j), int(p)).value
+        f_plain = lattice.discrete_curvature(field_, int(j), int(p))
+        f_primed = lattice.discrete_curvature(field_t, int(j), int(p))
         conj = lattice.curvature_gauge_conjugator(g, int(j), int(p))
         covariance = max(covariance, float(np.max(np.abs(f_primed - conj @ f_plain @ conj.conj().T))))
         resid, branch = lattice.curvature_factorization_check(field_, int(j), int(p))
@@ -306,19 +302,15 @@ def run_gauge_check(cfg: ExperimentConfig, trials: int = 20, tol: float = 1e-10)
             worst[key] = max(worst.get(key, 0.0), val)
     report = {"dim": cfg.dim, "trials": trials, "residuals": worst, "tolerance": tol,
               "passed": all(v <= tol for v in worst.values())}
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "gauge_check.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    out = _output_dir(cfg)
+    path = io.write_json(out / "gauge_check.json", report)
     io.write_manifest(out, cfg.to_dict(), [path])
     if not report["passed"]:
         raise InvariantViolation(f"gauge-check residuals exceed {tol}: {worst}")
     return report
 
 
-def curvature_order_table(b_p, b_q, b0, b1, epsilons, t_star: float = 1.0,
+def curvature_order_table(b0, b1, epsilons, t_star: float = 1.0,
                           x_star: float = 0.0) -> dict:
     """Max-norm of the curvature remainder F - 1 - 4i eps^2 F10 at a fixed
     physical point, per epsilon, with the observed halving order.  F10 is the
@@ -330,8 +322,8 @@ def curvature_order_table(b_p, b_q, b0, b1, epsilons, t_star: float = 1.0,
     for eps in epsilons:
         j = int(round(t_star / eps))
         spec = lattice.LatticeSpec(eps, 4, j + 2)
-        field_ = lattice.GaugeField.from_potentials(b_p, b_q, spec, gens)
-        f = lattice.discrete_curvature(field_, j, 0).value
+        field_ = lattice.GaugeField.from_potentials(b0, b1, spec, gens)
+        f = lattice.discrete_curvature(field_, j, 0)
         f10 = lattice.continuous_curvature(b0, b1, gens, spec.time(j), x_star, h=1e-5)
         remainders.append(float(np.max(np.abs(f - np.eye(2) - 4j * eps**2 * f10))))
         extracted = (f - np.eye(2)) / (4j * eps**2)
@@ -357,12 +349,8 @@ def run_curvature_check(cfg: ExperimentConfig) -> dict:
         "abelian_pipeline_residual": abelian,
         "observed_order": min(generic["orders"]),
     }
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "curvature_check.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    out = _output_dir(cfg)
+    path = io.write_json(out / "curvature_check.json", report)
     io.write_manifest(out, cfg.to_dict(), [path])
     if report["observed_order"] < 2.5:
         raise InvariantViolation(f"curvature remainder order {report['observed_order']:.2f} < 2.5")
@@ -380,7 +368,7 @@ def abelian_consistency_residual(seed: int) -> float:
     worst = 0.0
     for j in range(1, spec.j_max):
         for p in range(-spec.p_max, spec.p_max + 1):
-            f = lattice.discrete_curvature(field_, j, p).value[0, 0]
+            f = lattice.discrete_curvature(field_, j, p)[0, 0]
             _, phase = lattice.abelian_discrete_curvature(y, j, p)
             worst = max(worst, abs(f - phase))
     return worst
@@ -392,18 +380,17 @@ def run_evolve(cfg: ExperimentConfig) -> dict:
     spec = _lattice_for(cfg, eps)
     gens = unitary.generators_u(cfg.dim)
     if cfg.dim == 2:
-        b_p, b_q, _, _ = su2_electric_potentials(cfg.e_ym)
+        b0, b1 = su2_electric_potentials(cfg.e_ym)
     else:
         zero = np.zeros(cfg.dim * cfg.dim)
-        b_p = b_q = lambda t, x: zero
-    field_ = lattice.GaugeField.from_potentials(b_p, b_q, spec, gens)
+        b0 = b1 = lambda t, x: zero
+    field_ = lattice.GaugeField.from_potentials(b0, b1, spec, gens)
     _, _, state = _shared_initial_condition(cfg, spec)
     pi0 = walker.total_probability(state)
     state = walker.evolve(state, field_, _walk_config(cfg, eps), int(round(cfg.t_max / eps)))
     drift = abs(walker.total_probability(state) - pi0)
 
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg)
     csv_path = out / "state.csv"
     ckpt_path = out / "state.ckpt"
     io.write_state_csv(csv_path, spec.positions(), state.amplitudes, "walk")
@@ -412,3 +399,13 @@ def run_evolve(cfg: ExperimentConfig) -> dict:
     if drift > 1e-10:
         raise InvariantViolation(f"probability drift {drift:.2e} exceeds 1e-10")
     return {"steps": state.j, "probability_drift": drift}
+
+
+# name -> runner, in the order the command line lists them
+EXPERIMENTS = {
+    "convergence": run_convergence,
+    "trajectory": run_trajectory,
+    "gauge-check": run_gauge_check,
+    "curvature-check": run_curvature_check,
+    "evolve": run_evolve,
+}

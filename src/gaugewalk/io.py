@@ -143,8 +143,12 @@ def write_manifest(out_dir, config: dict, artifacts: list) -> Path:
         "config": config,
         "artifacts": {Path(a).name: sha256_file(a) for a in artifacts},
     }
-    path = out_dir / "manifest.json"
+    return write_json(out_dir / "manifest.json", manifest, sort_keys=True)
+
+
+def write_json(path, data: dict, sort_keys: bool = False) -> Path:
+    """data as JSON indented by two spaces, with a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
-    return path
+    return Path(path)

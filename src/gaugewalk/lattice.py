@@ -4,7 +4,7 @@ curvature built from the holonomy-like products U and V."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,6 +78,21 @@ def _validate_slice(arr: np.ndarray, spec: LatticeSpec, dim: int, j: int, what: 
     return arr
 
 
+def sample_potential(fn, t: float, x: np.ndarray, count: int) -> np.ndarray:
+    """fn(t, x) as real coordinates in a basis of `count` generators: shape
+    (count,) for a potential uniform in x, (len(x), count) for one per point.
+    Any other shape, or a non-finite entry, is refused."""
+    coords = np.asarray(fn(t, x), dtype=float)
+    if coords.shape != (count,) and coords.shape != (len(x), count):
+        raise DimensionError(f"potential sample at t={t} has shape {coords.shape}, "
+                             f"expected {(count,)} or {(len(x), count)}")
+    if not np.isfinite(coords).all():
+        bad = np.argwhere(~np.isfinite(coords))[0]
+        raise ValueError(f"non-finite potential sample at t={t}"
+                         + (f", x={x[bad[0]]}" if coords.ndim == 2 else ""))
+    return coords
+
+
 class GaugeField:
     """The discrete gauge potential R = (P, Q): one U(N) matrix pair per
     spacetime site.  slice_fn(j) gives (P_j, Q_j), each (n_sites, N, N); a
@@ -98,24 +113,21 @@ class GaugeField:
         return cls(spec, dim, lambda j: (eye, eye))
 
     @classmethod
-    def from_potentials(cls, b_p, b_q, spec: LatticeSpec, gens: GeneratorSet) -> "GaugeField":
-        """P_{j,p} = exp_map(eps * b_P(t_j, x_p)), likewise Q.  The coordinate
-        functions take (t, x-array) and return (n_sites, count) or (count,)."""
+    def from_potentials(cls, b0, b1, spec: LatticeSpec, gens: GeneratorSet) -> "GaugeField":
+        """The links of the continuum potential B_mu = sum_k b_mu^k tau_k:
+        P_{j,p} = exp_map(eps * (b0 - b1)(t_j, x_p)), Q_{j,p} = exp_map(eps *
+        (b0 + b1)(t_j, x_p)).  b0 and b1 are coordinate functions of
+        (t, x-array), sampled by sample_potential."""
 
         x = spec.positions()
         shape = (spec.n_sites, gens.dim, gens.dim)
 
-        def sample(fn, t):
-            coords = np.asarray(fn(t, x), dtype=float)
-            if coords.shape[:-1] not in ((), (spec.n_sites,)):
-                raise DimensionError(f"potential sample at t={t} has shape {coords.shape}")
-            if not np.all(np.isfinite(coords)):
-                bad = np.argwhere(~np.isfinite(coords))[0]
-                raise ValueError(f"non-finite potential sample at t={t}"
-                                 + (f", x={x[bad[0]]}" if coords.ndim == 2 else ""))
-            return np.broadcast_to(exp_map(spec.epsilon * coords, gens), shape)
+        def build(j):
+            c0, c1 = (sample_potential(fn, spec.time(j), x, len(gens)) for fn in (b0, b1))
+            links = exp_map(spec.epsilon * np.stack(np.broadcast_arrays(c0 - c1, c0 + c1)), gens)
+            return np.broadcast_to(links[0], shape), np.broadcast_to(links[1], shape)
 
-        return cls(spec, gens.dim, lambda j: (sample(b_p, spec.time(j)), sample(b_q, spec.time(j))))
+        return cls(spec, gens.dim, build)
 
     @classmethod
     def from_arrays(cls, spec: LatticeSpec, p_arr: np.ndarray, q_arr: np.ndarray) -> "GaugeField":
@@ -133,8 +145,7 @@ class GaugeField:
 
         def build(j):
             rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
-            coords = scale * rng.standard_normal((2, spec.n_sites, len(gens)))
-            return exp_map(coords[0], gens), exp_map(coords[1], gens)
+            return exp_map(scale * rng.standard_normal((2, spec.n_sites, len(gens))), gens)
 
         return cls(spec, dim, build)
 
@@ -229,26 +240,34 @@ def holonomy_v(field_: GaugeField, j: int, p: int) -> np.ndarray:
     return holonomy_v_slice(field_, j)[field_.spec.site_index(p)]
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
-    site: tuple[int, int]
-    value: np.ndarray = field(repr=False)
-
-
-def curvature_slice(field_: GaugeField, j: int) -> np.ndarray:
-    """F_{j,p} = U†_{j-1,p} V†_{j,p-1} U_{j+1,p} V_{j,p+1} for every p."""
+def _around(field_: GaugeField, j: int) -> list:
+    """(P, Q) on slices j-1, j, j+1, the slices a curvature at j reads."""
     if not 1 <= j <= field_.spec.j_max - 1:
         raise SiteRangeError(f"curvature needs slices j-1..j+1; j={j} out of range")
-    u_prev = holonomy_u_slice(field_, j - 1)
-    u_next = holonomy_u_slice(field_, j + 1)
-    v_here = holonomy_v_slice(field_, j)
+    return [(field_.P(k), field_.Q(k)) for k in (j - 1, j, j + 1)]
+
+
+def _curvature(pq) -> np.ndarray:
+    """F_{j,p} = U†_{j-1,p} V†_{j,p-1} U_{j+1,p} V_{j,p+1} for every p, from
+    pq[k] = (P, Q) on slices j-1, j, j+1 (k = 0, 1, 2), with U = Q† P and
+    V_{j,p} = Q_{j,p} P_{j-1,p-1}."""
+    (p_prev, q_prev), (_, q_here), (p_next, q_next) = pq
+    u_prev = _dagger(q_prev) @ p_prev
+    u_next = _dagger(q_next) @ p_next
+    v_here = q_here @ np.roll(p_prev, 1, axis=0)
     v_left = np.roll(v_here, 1, axis=0)   # V_{j,p-1} at index of p
     v_right = np.roll(v_here, -1, axis=0)  # V_{j,p+1}
     return _dagger(u_prev) @ _dagger(v_left) @ u_next @ v_right
 
 
-def discrete_curvature(field_: GaugeField, j: int, p: int) -> CurvatureSample:
-    return CurvatureSample((j, p), curvature_slice(field_, j)[field_.spec.site_index(p)])
+def curvature_slice(field_: GaugeField, j: int) -> np.ndarray:
+    """The curvature F_{j,p} at every site p of slice j."""
+    return _curvature(_around(field_, j))
+
+
+def discrete_curvature(field_: GaugeField, j: int, p: int) -> np.ndarray:
+    """The (N, N) curvature F_{j,p}."""
+    return curvature_slice(field_, j)[field_.spec.site_index(p)]
 
 
 def curvature_gauge_conjugator(g: GaugeTransformation, j: int, p: int) -> np.ndarray:
@@ -336,11 +355,9 @@ def curvature_factorization_check(field_: GaugeField, j: int, p: int) -> tuple[f
     """Residual of F(R) = F(delta_R) F(Rbar) at one site, where every P, Q is
     split into its U(1) phase and SU(N) part.  Also reports whether any
     factorization sat on the det = -1 branch cut."""
-    f_full = discrete_curvature(field_, j, p).value
-    # slices j-1, j, j+1 of (P, Q) become slices 0, 1, 2 of a three-slice window
-    split = factorize(np.array([(field_.P(k), field_.Q(k)) for k in (j - 1, j, j + 1)]))
-    window = LatticeSpec(field_.spec.epsilon, field_.spec.p_max, 2)
-    f_delta, f_bar = (discrete_curvature(GaugeField.from_arrays(window, part[:, 0], part[:, 1]), 1, p).value
-                      for part in (split.delta[..., None, None], split.special))
+    pq = np.array(_around(field_, j))
+    split = factorize(pq)
+    i = field_.spec.site_index(p)
+    f_full, f_delta, f_bar = (_curvature(part)[i] for part in (pq, split.delta[..., None, None], split.special))
     residual = float(np.max(np.abs(f_full - complex(f_delta[0, 0]) * f_bar)))
     return residual, bool(np.any(split.branch_discontinuous))

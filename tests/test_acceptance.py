@@ -90,8 +90,8 @@ def test_criterion_03_curvature_covariance():
         count = 0
         for j in range(1, spec.j_max):  # cache-friendly slice order
             for p in rng.integers(-spec.p_max, spec.p_max + 1, size=6):
-                f_plain = lat.discrete_curvature(field, j, int(p)).value
-                f_primed = lat.discrete_curvature(field_t, j, int(p)).value
+                f_plain = lat.discrete_curvature(field, j, int(p))
+                f_primed = lat.discrete_curvature(field_t, j, int(p))
                 conj = lat.curvature_gauge_conjugator(g, j, int(p))
                 worst = max(worst, float(np.max(np.abs(
                     f_primed - conj @ f_plain @ conj.conj().T))))

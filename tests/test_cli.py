@@ -44,13 +44,12 @@ class TestExperimentConfig:
 
 class TestPotentialLibraries:
     def test_electric_field_coordinates(self):
-        b_p, b_q, b0, b1 = ex.su2_electric_potentials(0.3)
+        b0, b1 = ex.su2_electric_potentials(0.3)
         assert np.allclose(b0(2.0, 0.0), 0.0)
         assert np.allclose(b1(2.0, 0.0), [0.0, 0.6, 0.0, 0.0])
-        assert np.allclose(np.asarray(b_p(2.0, 0.0)) + np.asarray(b_q(2.0, 0.0)), 0.0)
 
     def test_generic_field_is_noncommuting(self):
-        _, _, b0, b1 = ex.generic_su2_potentials()
+        b0, b1 = ex.generic_su2_potentials()
         gens = un.generators_u(2)
         m0 = gens.assemble(np.asarray(b0(0.5, 0.0)))
         m1 = gens.assemble(np.asarray(b1(0.5, 0.0)))
@@ -147,13 +146,14 @@ class TestCliExitCodes:
 
 @pytest.fixture
 def no_compute(monkeypatch):
-    """Make any walk step or Dirac solve fail the test: a refused config must
-    be refused before either runs."""
+    """Make any walk step, Dirac solve or packet build fail the test: a
+    refused config must be refused before any of them runs."""
     def called(*args, **kwargs):
         raise AssertionError("computation started for an invalid config")
 
     monkeypatch.setattr(wk, "step", called)
     monkeypatch.setattr(dr, "solve", called)
+    monkeypatch.setattr(dr, "gaussian_packet", called)
 
 
 class TestValidationBeforeCompute:
@@ -184,6 +184,21 @@ class TestValidationBeforeCompute:
                        "--t-max", "2", "--out", str(tmp_path / "run")])
         assert rc == 1
         assert "under-resolved at eps=1.0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("experiment, data", [
+        ("gauge-check", {"dim": 1.5}), ("gauge-check", {"dim": True}), ("gauge-check", {"seed": 0.5}),
+        ("evolve", {"dim": 1.5}), ("evolve", {"theta": "x"}), ("evolve", {"theta": float("inf")}),
+        ("evolve", {"output_dir": 5}),
+    ], ids=["dim-float", "dim-bool", "seed-float", "evolve-dim-float", "theta-str", "theta-inf",
+            "output-dir-int"])
+    def test_malformed_config_value(self, no_compute, tmp_path, capsys, experiment, data):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"output_dir": str(tmp_path / "run"), **data}))
+        rc = cli.main([experiment, "--config", str(path), "--epsilon", "0.2", "--x-max", "4",
+                       "--t-max", "0.4", "--sigma", "1.6"])
+        assert rc == 1
+        assert f"config error: {next(iter(data))} must be" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_nonpositive_sigma(self, no_compute, tmp_path, capsys):

@@ -102,6 +102,44 @@ class TestDiracRhs:
             dr.dirac_rhs(f, free_params(dim=2), 0.0)
 
 
+class TestPotentialSamples:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 4), st.sampled_from(["count+1", "n+1", "scalar", "transposed", "3d"]),
+           st.booleans())
+    def test_wrong_shape_refused(self, dim, kind, in_b1):
+        grid = grid64()
+        n, count = grid.n_points, dim * dim
+        shape = {"count+1": (count + 1,), "n+1": (n + 1, count), "scalar": (),
+                 "transposed": (count, n), "3d": (n, count, 1)}[kind]
+        if shape == (count, n) and count == n:
+            shape = (count, n + 1)
+        bad = lambda t, x: np.zeros(shape)
+        ok = lambda t, x: np.zeros(count)
+        params = dr.DiracParams(0.1, ok, bad, un.generators_u(dim)) if in_b1 else \
+            dr.DiracParams(0.1, bad, ok, un.generators_u(dim))
+        x = grid.positions()
+        with pytest.raises(un.DimensionError):
+            params.uniform_in_x(x)
+        with pytest.raises(un.DimensionError):
+            params.potential_matrices(0.5, x)
+        with pytest.raises(un.DimensionError):
+            dr.solve(random_field(grid, dim, seed=dim), params, 0.1, 0.05)
+
+    def test_non_finite_sample_names_t_and_x(self):
+        grid = grid64()
+        x = grid.positions()
+        per_point = np.zeros((grid.n_points, 1))
+        per_point[5] = np.nan
+        params = dr.DiracParams(0.1, lambda t, xx: np.zeros(1), lambda t, xx: per_point,
+                                un.generators_u(1))
+        with pytest.raises(ValueError, match=rf"non-finite potential sample at t=0\.5, x={x[5]}$"):
+            params.potential_matrices(0.5, x)
+        params = dr.DiracParams(0.1, lambda t, xx: np.array([np.inf if t else 0.0]),
+                                lambda t, xx: np.zeros(1), un.generators_u(1))
+        with pytest.raises(ValueError, match=r"at t=0\.5$"):
+            params.potential_matrices(0.5, x)
+
+
 class TestRk2:
     def test_free_mode_second_order(self):
         # exact: e^{-i H(k) t}; the global error over fixed t drops ~4x per halving

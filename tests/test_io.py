@@ -140,3 +140,13 @@ class TestManifest:
         want = hashlib.sha256(a.read_bytes()).hexdigest()
         assert manifest["artifacts"]["a.csv"] == want
         assert gio.sha256_file(a) == want
+
+    def test_json_layout(self, tmp_path):
+        # reports and manifests keep one byte layout: two-space indent, a
+        # final newline, keys sorted only where asked
+        data = {"b": [1.5, 2], "a": {"passed": True}}
+        path = gio.write_json(tmp_path / "r.json", data)
+        assert path.read_text() == json.dumps(data, indent=2) + "\n"
+        manifest = gio.write_manifest(tmp_path, {"z": 1, "a": 2}, [path]).read_text()
+        assert manifest == json.dumps(json.loads(manifest), indent=2, sort_keys=True) + "\n"
+        assert manifest.index('"artifacts"') < manifest.index('"config"')

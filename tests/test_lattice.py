@@ -51,8 +51,9 @@ class TestGaugeField:
     def test_from_potentials_scalar(self):
         spec = small_spec(eps=0.2)
         gens = un.generators_u(1)
-        f = lat.GaugeField.from_potentials(lambda t, x: np.array([0.7]),
-                                           lambda t, x: np.array([-0.3]),
+        # b0 - b1 = 0.7, b0 + b1 = -0.3
+        f = lat.GaugeField.from_potentials(lambda t, x: np.array([0.2]),
+                                           lambda t, x: np.array([-0.5]),
                                            spec, gens)
         assert np.allclose(f.P(1), np.exp(1j * 0.2 * 0.7) * np.ones((spec.n_sites, 1, 1)))
         assert np.allclose(f.Q(1), np.exp(-1j * 0.2 * 0.3) * np.ones((spec.n_sites, 1, 1)))
@@ -62,9 +63,9 @@ class TestGaugeField:
         eps, e_ym = 0.1, 0.3
         spec = small_spec(eps=eps)
         gens = un.generators_u(2)
+        b0 = lambda t, x: np.zeros(4)
         b1 = lambda t, x: np.array([0.0, e_ym * t, 0.0, 0.0])
-        b_p = lambda t, x: -b1(t, x)
-        f = lat.GaugeField.from_potentials(b_p, b1, spec, gens)
+        f = lat.GaugeField.from_potentials(b0, b1, spec, gens)
         j = 4
         want = un.su2_closed_form(np.array([eps * e_ym * spec.time(j), 0.0, 0.0]))
         assert np.max(np.abs(f.Q(j) - want)) <= 1e-13
@@ -113,6 +114,26 @@ class TestGaugeField:
                 assert np.max(np.abs(a - b)) <= 1e-13
                 assert a.strides[0] == 0
                 assert not a.flags.writeable and not b.flags.writeable
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 10_000), st.booleans(), st.booleans())
+    def test_links_are_exp_of_b0_minus_and_plus_b1(self, dim, seed, b0_per_site, b1_per_site):
+        spec = small_spec(eps=0.3)
+        gens = un.generators_u(dim)
+        rng = np.random.default_rng(seed)
+        shape = lambda per_site: (spec.n_sites, len(gens)) if per_site else (len(gens),)
+        a0, a1 = rng.normal(0, 1, shape(b0_per_site)), rng.normal(0, 1, shape(b1_per_site))
+        b0 = lambda t, x: (1 + t) * a0
+        b1 = lambda t, x: np.cos(t) * a1
+        f = lat.GaugeField.from_potentials(b0, b1, spec, gens)
+        for j in (0, 2, spec.j_max):
+            c0, c1 = b0(spec.time(j), None), b1(spec.time(j), None)
+            want_p = un.exp_map(spec.epsilon * (c0 - c1), gens)
+            want_q = un.exp_map(spec.epsilon * (c0 + c1), gens)
+            assert np.max(np.abs(f.P(j) - want_p)) <= 1e-13
+            assert np.max(np.abs(f.Q(j) - want_q)) <= 1e-13
+            uniform = not (b0_per_site or b1_per_site)
+            assert (f.P(j).strides[0] == 0) == uniform and (f.Q(j).strides[0] == 0) == uniform
 
     def test_broadcast_slice_is_still_validated(self):
         spec = small_spec()
@@ -241,23 +262,17 @@ class TestDiscreteCurvature:
             lat.curvature_slice(f, spec.j_max)
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_unitary_and_covariant(self, seed):
+    @given(st.integers(1, 4), st.integers(0, 10_000), st.integers(1, 7), st.integers(-5, 5))
+    def test_unitary_and_covariant(self, dim, seed, j, p):
         spec = small_spec()
-        f = lat.GaugeField.random(spec, 2, seed=seed, scale=0.6)
-        g = lat.GaugeTransformation.random(spec, 2, seed=seed + 1, scale=0.6)
+        f = lat.GaugeField.random(spec, dim, seed=seed, scale=0.6)
+        g = lat.GaugeTransformation.random(spec, dim, seed=seed + 1, scale=0.6)
         ft = lat.transform_potentials(f, g)
-        j, p = 3, 1
-        fc = lat.discrete_curvature(f, j, p).value
+        fc = lat.discrete_curvature(f, j, p)
         assert un.unitarity_defect(fc) <= 1e-12
-        fct = lat.discrete_curvature(ft, j, p).value
+        fct = lat.discrete_curvature(ft, j, p)
         conj = lat.curvature_gauge_conjugator(g, j, p)
         assert np.max(np.abs(fct - conj @ fc @ conj.conj().T)) <= 1e-12
-
-    def test_sample_records_site(self):
-        spec = small_spec()
-        f = lat.GaugeField.identity(spec, 2)
-        assert lat.discrete_curvature(f, 2, -1).site == (2, -1)
 
 
 class TestContinuousCurvature:
@@ -332,7 +347,7 @@ class TestAbelian:
         worst = 0.0
         for j in range(1, spec.j_max):
             for p in range(-spec.p_max, spec.p_max + 1):
-                matrix = lat.discrete_curvature(f, j, p).value[0, 0]
+                matrix = lat.discrete_curvature(f, j, p)[0, 0]
                 _, phase = lat.abelian_discrete_curvature(y, j, p)
                 worst = max(worst, abs(matrix - phase))
         assert worst <= 1e-12
@@ -355,10 +370,12 @@ class TestFactorizationCheck:
         assert not branch
         assert residual <= 1e-12
 
-    def test_random_field(self):
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 10_000), st.integers(1, 7), st.integers(-5, 5))
+    def test_random_field(self, dim, seed, j, p):
         spec = small_spec()
-        f = lat.GaugeField.random(spec, 2, seed=21, scale=0.5)
-        residual, branch = lat.curvature_factorization_check(f, 4, -2)
+        f = lat.GaugeField.random(spec, dim, seed=seed, scale=0.5)
+        residual, branch = lat.curvature_factorization_check(f, j, p)
         if not branch:
             assert residual <= 1e-12
 
