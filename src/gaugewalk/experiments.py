@@ -29,6 +29,11 @@ class LeftSafeZone(dirac.NumericalAbort):
         super().__init__(t, f"mean position {xbar:.6g} left the safe zone |x| <= {safe:.6g}")
 
 
+def _is_number(value) -> bool:
+    """A finite real number; a boolean is not one here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str = "convergence"
@@ -52,23 +57,27 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {tuple(EXPERIMENTS)}")
         for name in ("mass", "e_ym", "g", "sigma", "k0", "x_max", "t_max", "dirac_dt"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
+            if not _is_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number")
         for name in ("dim", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer")
-        if self.theta is not None and not (isinstance(self.theta, numbers.Real) and math.isfinite(self.theta)):
+        if self.theta is not None and not _is_number(self.theta):
             raise ConfigError("theta must be null or a finite number")
         if not isinstance(self.output_dir, str):
             raise ConfigError("output_dir must be a string")
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
+        # these three walk the N = 2 field of su2_electric_potentials
+        if self.experiment in ("convergence", "trajectory", "evolve") and self.dim != 2:
+            raise ConfigError(f"the {self.experiment} experiment runs on an SU(2) field; it needs dim = 2")
         if self.sigma <= 0:
             raise ConfigError("sigma must be positive")
-        self.epsilons = tuple(float(e) for e in self.epsilons)
-        if any(e <= 0 for e in self.epsilons):
-            raise ConfigError("epsilons must be positive")
+        epsilons = tuple(self.epsilons)
+        if not all(_is_number(e) and e > 0 for e in epsilons):
+            raise ConfigError("epsilons must be positive finite numbers")
+        self.epsilons = tuple(float(e) for e in epsilons)
         if self.experiment == "convergence":
             # the slope fit needs three distinct lattice steps
             if len(self.epsilons) < 3 or len(set(self.epsilons)) != len(self.epsilons):
@@ -162,8 +171,6 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
     """Evolve the same packet through the walk and through the Dirac solver on
     the SU(2) electric-field background, one leg per epsilon, and fit the
     log-log slope of the mean relative difference of psi^-."""
-    if cfg.dim != 2:
-        raise ConfigError("the convergence experiment is defined for dim = 2")
     gens = unitary.generators_u(2)
     b0, b1 = su2_electric_potentials(cfg.e_ym)
     params = dirac.DiracParams(cfg.mass, b0, b1, gens)
@@ -216,8 +223,6 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
 def run_trajectory(cfg: ExperimentConfig) -> dict:
     """Mean walk position per step on the SU(2) electric field versus the
     aligned-isospin Wong closed form with matched (x0, p0 = k0)."""
-    if cfg.dim != 2:
-        raise ConfigError("the trajectory experiment is defined for dim = 2")
     if cfg.mass <= 0:
         raise ConfigError("trajectory comparison needs mass > 0")
     eps = cfg.epsilon
@@ -266,8 +271,12 @@ def gauge_check_residuals(dim: int, spec: lattice.LatticeSpec, seed: int, steps:
     psi = walker.WalkState(spec, dim, 0, amps)
     wcfg = walker.WalkConfig(dim, 0.3)
 
-    plain = walker.evolve(psi, field_, wcfg, steps)
-    primed = walker.evolve(walker.gauge_transform_state(psi, g), field_t, wcfg, steps)
+    # both walks advance together, so each slice of field_ that field_t is
+    # built from is still in field_'s memo when field_t asks for it
+    plain, primed = psi, walker.gauge_transform_state(psi, g)
+    for _ in range(steps):
+        plain = walker.step(plain, field_, wcfg)
+        primed = walker.step(primed, field_t, wcfg)
     expected = walker.gauge_transform_state(plain, g)
     square = float(np.max(np.abs(primed.amplitudes - expected.amplitudes)))
 
@@ -378,13 +387,8 @@ def run_evolve(cfg: ExperimentConfig) -> dict:
     """Evolve a packet on the SU(2) electric field and dump the final state."""
     eps = cfg.epsilon
     spec = _lattice_for(cfg, eps)
-    gens = unitary.generators_u(cfg.dim)
-    if cfg.dim == 2:
-        b0, b1 = su2_electric_potentials(cfg.e_ym)
-    else:
-        zero = np.zeros(cfg.dim * cfg.dim)
-        b0 = b1 = lambda t, x: zero
-    field_ = lattice.GaugeField.from_potentials(b0, b1, spec, gens)
+    gens = unitary.generators_u(2)
+    field_ = lattice.GaugeField.from_potentials(*su2_electric_potentials(cfg.e_ym), spec, gens)
     _, _, state = _shared_initial_condition(cfg, spec)
     pi0 = walker.total_probability(state)
     state = walker.evolve(state, field_, _walk_config(cfg, eps), int(round(cfg.t_max / eps)))

@@ -68,11 +68,13 @@ def _validate_slice(arr: np.ndarray, spec: LatticeSpec, dim: int, j: int, what: 
         raise DimensionError(f"{what} slice j={j} has shape {arr.shape}, expected {(spec.n_sites, dim, dim)}")
     # a slice uniform in x is one matrix viewed at every site: check it once
     distinct = arr[:1] if arr.strides[0] == 0 else arr
-    if not np.all(np.isfinite(distinct)):
-        bad = np.argwhere(~np.isfinite(distinct))[0]
-        raise ValueError(f"non-finite {what} entry at j={j}, p={int(bad[0]) - spec.p_max}")
     defect = unitarity_defect(distinct)
-    if defect > CONSTRUCTION_TOL:
+    # a non-finite entry makes the defect NaN or inf, which fails this test;
+    # the entry is looked for only to word the error
+    if not defect <= CONSTRUCTION_TOL:
+        if not np.isfinite(distinct).all():
+            bad = np.argwhere(~np.isfinite(distinct))[0]
+            raise ValueError(f"non-finite {what} entry at j={j}, p={int(bad[0]) - spec.p_max}")
         raise ValueError(f"{what} slice j={j} not unitary (defect {defect:.2e})")
     arr.setflags(write=False)
     return arr

@@ -26,10 +26,14 @@ class UnitarityError(ValueError):
 
 
 def unitarity_defect(m: np.ndarray) -> float:
-    """Max-norm of M†M - 1, zero for exactly unitary M."""
+    """Max-norm of M†M - 1, zero for exactly unitary M; NaN or inf when M
+    has a non-finite entry."""
     m = np.asarray(m)
     n = m.shape[-1]
-    return float(np.max(np.abs(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(n))))
+    gram = np.swapaxes(m.conj(), -1, -2) @ m
+    # the diagonal of every matrix in the stack, as one strided view
+    gram.reshape(*gram.shape[:-2], n * n)[..., :: n + 1] -= 1
+    return float(np.abs(gram).max())
 
 
 def is_unitary(m: np.ndarray, tol: float = CONSTRUCTION_TOL) -> bool:
@@ -84,6 +88,9 @@ class GeneratorSet:
         gram = (flat.conj() @ flat.T).real
         if np.linalg.matrix_rank(gram, tol=1e-10) != len(gens):
             raise ValueError("generators are linearly dependent")
+        # (count, 2 N^2) reals: row k is gens[k] with real and imaginary
+        # parts interleaved, so real coordinates assemble by one real matmul
+        object.__setattr__(self, "_flat", np.ascontiguousarray(flat).view(float))
 
     def __len__(self) -> int:
         return len(self.gens)
@@ -93,7 +100,7 @@ class GeneratorSet:
         coords = np.asarray(coords, dtype=float)
         if coords.shape[-1] != len(self.gens):
             raise DimensionError(f"expected {len(self.gens)} coordinates, got {coords.shape[-1]}")
-        return np.einsum("...k,kij->...ij", coords, self.gens)
+        return (coords @ self._flat).view(complex).reshape(coords.shape[:-1] + (self.dim, self.dim))
 
 
 def generators_u(n: int) -> GeneratorSet:
@@ -117,12 +124,12 @@ def exp_map(coords: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     """exp(i sum_k X^k tau_k) via eigendecomposition of the Hermitian argument,
     so the result is unitary up to rounding.  Supports batched coords."""
     coords = np.asarray(coords, dtype=float)
-    if not np.all(np.isfinite(coords)):
+    if not np.isfinite(coords).all():
         raise ValueError("non-finite coordinates")
     h = gens.assemble(coords)
     w, v = np.linalg.eigh(h)
-    phases = np.exp(1j * w)
-    return np.einsum("...ik,...k,...jk->...ij", v, phases, v.conj())
+    # V diag(e^{iw}) V†: scale the columns of V, then one matmul
+    return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 @dataclass(frozen=True)
@@ -141,7 +148,7 @@ def factorize(m: np.ndarray, tol: float = INPUT_TOL) -> FactorResult:
     det M in (-pi, pi], and an SU(N) part M / delta."""
     m = np.asarray(m, dtype=complex)
     defect = unitarity_defect(m)
-    if defect > tol:
+    if not defect <= tol:  # NaN, from a non-finite entry, fails too
         raise UnitarityError(f"input not unitary (defect {defect:.2e} > {tol:.1e})")
     alpha = np.angle(np.linalg.det(m))
     # np.angle may return -pi; the principal interval is (-pi, pi]

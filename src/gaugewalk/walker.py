@@ -84,12 +84,17 @@ def step(state: WalkState, field: GaugeField, config: WalkConfig) -> WalkState:
         raise DimensionError("state, field and config dimensions disagree")
     if not _same_space(state.spec, field.spec):
         raise DimensionError("state and field lattices disagree")
-    minus_in = np.roll(state.psi_minus, -1, axis=0)  # psi^-_{j, p+1}
-    plus_in = np.roll(state.psi_plus, 1, axis=0)     # psi^+_{j, p-1}
-    p_rot = (field.P(state.j) @ minus_in[..., None])[..., 0]
-    q_rot = (field.Q(state.j) @ plus_in[..., None])[..., 0]
+    n, amps = state.dim, state.amplitudes
+    shifted = np.empty_like(amps)
+    shifted[:-1, :n], shifted[-1, :n] = amps[1:, :n], amps[0, :n]  # psi^-_{j, p+1}
+    shifted[1:, n:], shifted[0, n:] = amps[:-1, n:], amps[-1, n:]  # psi^+_{j, p-1}
+    p_rot = (field.P(state.j) @ shifted[:, :n, None])[..., 0]
+    q_rot = (field.Q(state.j) @ shifted[:, n:, None])[..., 0]
     c, s = np.cos(config.theta), 1j * np.sin(config.theta)
-    out = np.hstack([c * p_rot + s * q_rot, s * p_rot + c * q_rot])
+    # the output is allocated after the temporaries, so they are freed below
+    # a live array; with the output allocated first they were freed at the
+    # heap top, trimmed, and faulted back in on every step of a large lattice
+    out = np.concatenate((c * p_rot + s * q_rot, s * p_rot + c * q_rot), axis=1)
     return WalkState(state.spec, state.dim, state.j + 1, out)
 
 

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaugewalk import cli
 from gaugewalk import dirac as dr
@@ -64,6 +66,23 @@ class TestGaugeCheckInternals:
         assert res["curvature_covariance"] <= 1e-12
         assert res["curvature_factorization"] <= 1e-12
         assert res["probability_drift"] <= 1e-12
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 10_000), st.integers(1, 12))
+    def test_lockstep_square_equals_sequential_walks(self, dim, seed, steps):
+        spec = lat.LatticeSpec(0.1, 4, 14)
+        got = ex.gauge_check_residuals(dim, spec, seed, steps)["commuting_square"]
+        # the same draws, with the plain walk run to the end before the primed one
+        rng = np.random.default_rng(seed)
+        field_ = lat.GaugeField.random(spec, dim, seed, scale=0.5)
+        g = lat.GaugeTransformation.random(spec, dim, seed + 1, scale=0.5)
+        shape = (spec.n_sites, 2 * dim)
+        amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        psi = wk.WalkState(spec, dim, 0, amps / np.linalg.norm(amps))
+        cfg = wk.WalkConfig(dim, 0.3)
+        plain = wk.evolve(psi, field_, cfg, steps)
+        primed = wk.evolve(wk.gauge_transform_state(psi, g), lat.transform_potentials(field_, g), cfg, steps)
+        assert got == np.max(np.abs(primed.amplitudes - wk.gauge_transform_state(plain, g).amplitudes))
 
     def test_abelian_consistency(self):
         assert ex.abelian_consistency_residual(seed=7) <= 1e-12
@@ -189,9 +208,10 @@ class TestValidationBeforeCompute:
     @pytest.mark.parametrize("experiment, data", [
         ("gauge-check", {"dim": 1.5}), ("gauge-check", {"dim": True}), ("gauge-check", {"seed": 0.5}),
         ("evolve", {"dim": 1.5}), ("evolve", {"theta": "x"}), ("evolve", {"theta": float("inf")}),
-        ("evolve", {"output_dir": 5}),
+        ("evolve", {"output_dir": 5}), ("evolve", {"mass": True}), ("trajectory", {"k0": False}),
+        ("evolve", {"theta": True}),
     ], ids=["dim-float", "dim-bool", "seed-float", "evolve-dim-float", "theta-str", "theta-inf",
-            "output-dir-int"])
+            "output-dir-int", "mass-bool", "k0-bool", "theta-bool"])
     def test_malformed_config_value(self, no_compute, tmp_path, capsys, experiment, data):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"output_dir": str(tmp_path / "run"), **data}))
@@ -199,6 +219,23 @@ class TestValidationBeforeCompute:
                        "--t-max", "0.4", "--sigma", "1.6"])
         assert rc == 1
         assert f"config error: {next(iter(data))} must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("epsilons", [[True], [0.2, True], ["0.2"]], ids=["bool", "bool-second", "str"])
+    def test_malformed_epsilons(self, no_compute, tmp_path, capsys, epsilons):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"epsilons": epsilons, "output_dir": str(tmp_path / "run")}))
+        rc = cli.main(["evolve", "--config", str(path), "--x-max", "4", "--t-max", "0.4", "--sigma", "1.6"])
+        assert rc == 1
+        assert "config error: epsilons must be positive finite numbers" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("experiment", ["convergence", "trajectory", "evolve"])
+    def test_su2_runs_need_dim_2(self, no_compute, tmp_path, capsys, experiment):
+        rc = cli.main([experiment, "--dim", "3", "--e-ym", "0.5", "--epsilon", "0.2", "--x-max", "4",
+                       "--t-max", "0.4", "--sigma", "1.6", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert f"the {experiment} experiment runs on an SU(2) field; it needs dim = 2" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_nonpositive_sigma(self, no_compute, tmp_path, capsys):

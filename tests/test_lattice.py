@@ -153,6 +153,12 @@ class TestGaugeField:
         one_bad[-1] *= 2
         with pytest.raises(ValueError, match="not unitary"):
             lat.GaugeTransformation(spec, 2, lambda j: one_bad).G(0)
+        # a non-finite entry fails the unitarity test and is named by site
+        for value in (np.inf, np.nan):
+            at_site = eye.copy()
+            at_site[-1, 0, 1] = value
+            with pytest.raises(ValueError, match=f"^non-finite P entry at j=0, p={spec.p_max}$"):
+                lat.GaugeField(spec, 2, lambda j: (at_site, eye)).P(0)
 
     def test_potential_samples_checked(self):
         spec = small_spec()

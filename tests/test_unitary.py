@@ -187,6 +187,14 @@ class TestFactorize:
         with pytest.raises(un.UnitarityError):
             un.factorize(stack)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite(self, bad):
+        one = np.diag([bad, 1.0]).astype(complex)
+        with pytest.raises(un.UnitarityError):
+            un.factorize(one)
+        with pytest.raises(un.UnitarityError):
+            un.factorize(np.array([np.eye(2), one]))
+
 
 class TestUnitarityHelpers:
     def test_defect_values(self):
@@ -200,3 +208,56 @@ class TestUnitarityHelpers:
     def test_random_unitary(self):
         rng = np.random.default_rng(7)
         assert un.unitarity_defect(un.random_unitary(3, rng)) <= 1e-12
+
+
+def einsum_assemble(coords, gens):
+    return np.einsum("...k,kij->...ij", coords, gens.gens)
+
+
+def einsum_exp_map(coords, gens):
+    w, v = np.linalg.eigh(einsum_assemble(coords, gens))
+    return np.einsum("...ik,...k,...jk->...ij", v, np.exp(1j * w), v.conj())
+
+
+def eye_defect(m):
+    return float(np.max(np.abs(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1]))))
+
+
+class TestKernelsMatchReferences:
+    """assemble, exp_map and unitarity_defect against the einsum and np.eye
+    forms they replaced, on single, batched and stride-0 broadcast inputs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 10_000), st.sampled_from(["single", "batched", "broadcast"]),
+           st.booleans())
+    def test_assemble_and_exp_map(self, n, seed, layout, su):
+        gens = un.generators_su(n) if su and n > 1 else un.generators_u(n)
+        rng = np.random.default_rng(seed)
+        coords = {"single": rng.normal(0, 2, len(gens)),
+                  "batched": rng.normal(0, 2, (2, 5, len(gens))),
+                  "broadcast": np.broadcast_to(rng.normal(0, 2, len(gens)), (7, len(gens)))}[layout]
+        h = gens.assemble(coords)
+        assert h.shape == coords.shape[:-1] + (n, n)
+        assert np.max(np.abs(h - einsum_assemble(coords, gens))) <= 1e-13
+        m = un.exp_map(coords, gens)
+        assert m.shape == coords.shape[:-1] + (n, n)
+        assert np.max(np.abs(m - einsum_exp_map(coords, gens))) <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 10_000), st.floats(0, 1e-3))
+    def test_unitarity_defect(self, n, seed, noise):
+        rng = np.random.default_rng(seed)
+        stack = np.array([un.random_unitary(n, rng) for _ in range(5)])
+        stack += noise * rng.standard_normal(stack.shape)
+        kept = stack.copy()
+        for m in (stack, stack[2], np.broadcast_to(stack[0], (6, n, n)), stack.real, 3 * stack):
+            assert un.unitarity_defect(m) == eye_defect(m)
+        assert np.array_equal(stack, kept)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)],
+                             ids=["nan", "inf", "-inf", "i-inf"])
+    def test_non_finite_entry_fails_every_bound(self, bad):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = bad
+        assert not un.unitarity_defect(m) <= 1e300
+        assert not un.unitarity_defect(np.array([np.eye(3), m])) <= 1e300
