@@ -59,18 +59,19 @@ class ExperimentConfig:
         for name in ("mass", "e_ym", "g", "sigma", "k0", "x_max", "t_max", "dirac_dt"):
             if not _is_number(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number")
-        for name in ("dim", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer")
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral):
+            raise ConfigError("dim must be an integer")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
         if self.theta is not None and not _is_number(self.theta):
             raise ConfigError("theta must be null or a finite number")
         if not isinstance(self.output_dir, str):
             raise ConfigError("output_dir must be a string")
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
-        # these three walk the N = 2 field of su2_electric_potentials
-        if self.experiment in ("convergence", "trajectory", "evolve") and self.dim != 2:
+        # these run on the N = 2 fields of su2_electric_potentials and
+        # generic_su2_potentials; only gauge-check reads dim
+        if self.experiment in ("convergence", "trajectory", "evolve", "curvature-check") and self.dim != 2:
             raise ConfigError(f"the {self.experiment} experiment runs on an SU(2) field; it needs dim = 2")
         if self.sigma <= 0:
             raise ConfigError("sigma must be positive")

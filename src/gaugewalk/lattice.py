@@ -14,6 +14,7 @@ from .unitary import (
     GeneratorSet,
     exp_map,
     factorize,
+    generators_u,
     unitarity_defect,
 )
 
@@ -95,6 +96,28 @@ def sample_potential(fn, t: float, x: np.ndarray, count: int) -> np.ndarray:
     return coords
 
 
+def _random_slices(spec: LatticeSpec, dim: int, seed: int, tag: int, scale: float, lead: tuple):
+    """j -> exp_map(scale * z) with z standard normal u(N) coordinates of shape
+    lead + (n_sites, N^2).  The draws come from one Philox stream keyed by
+    SeedSequence([seed, tag]); slice j sets its counter to (0, j, 0, 0), so a
+    slice is the same on every rebuild and in any build order, and no two
+    slices share a stream."""
+    gens = generators_u(dim)
+    shape = lead + (spec.n_sites, len(gens))
+    bitgen = np.random.Philox(np.random.SeedSequence([seed, tag]))
+    rng = np.random.Generator(bitgen)
+    # a fresh state has an empty output buffer, so the counter alone decides the draws
+    state = bitgen.state
+    counter = state["state"]["counter"]
+
+    def build(j):
+        counter[1] = j
+        bitgen.state = state
+        return exp_map(scale * rng.standard_normal(shape), gens)
+
+    return build
+
+
 class GaugeField:
     """The discrete gauge potential R = (P, Q): one U(N) matrix pair per
     spacetime site.  slice_fn(j) gives (P_j, Q_j), each (n_sites, N, N); a
@@ -139,17 +162,11 @@ class GaugeField:
 
     @classmethod
     def random(cls, spec: LatticeSpec, dim: int, seed: int, scale: float = 1.0) -> "GaugeField":
-        """Random field, deterministic per (seed, j) so slices can be dropped
-        and rebuilt identically."""
-        from .unitary import generators_u
-
-        gens = generators_u(dim)
-
-        def build(j):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
-            return exp_map(scale * rng.standard_normal((2, spec.n_sites, len(gens))), gens)
-
-        return cls(spec, dim, build)
+        """Random field: slice j is (P, Q) = exp_map of Gaussian u(N)
+        coordinates drawn from the counter-based stream of _random_slices
+        (tag 0), deterministic per (seed, j), so slices can be dropped and
+        rebuilt identically, in any order."""
+        return cls(spec, dim, _random_slices(spec, dim, seed, 0, scale, (2,)))
 
     def P(self, j: int) -> np.ndarray:
         _check_time_index(self.spec, j)
@@ -179,15 +196,10 @@ class GaugeTransformation:
 
     @classmethod
     def random(cls, spec: LatticeSpec, dim: int, seed: int, scale: float = 1.0) -> "GaugeTransformation":
-        from .unitary import generators_u
-
-        gens = generators_u(dim)
-
-        def build(j):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 7, j]))
-            return exp_map(scale * rng.standard_normal((spec.n_sites, len(gens))), gens)
-
-        return cls(spec, dim, build)
+        """Random transformation: G_j = exp_map of Gaussian u(N) coordinates
+        from the counter-based stream of _random_slices (tag 7), deterministic
+        per (seed, j) and distinct from the field drawn with the same seed."""
+        return cls(spec, dim, _random_slices(spec, dim, seed, 7, scale, ()))
 
     def G(self, j: int) -> np.ndarray:
         # transforming slice j_max of a field needs G on slice j_max + 1

@@ -120,13 +120,38 @@ def generators_su(n: int) -> GeneratorSet:
     return GeneratorSet(n, 0.5 * gell_mann(n))
 
 
+def _exp_2x2(h: np.ndarray) -> np.ndarray:
+    """exp(iH) for a stack of Hermitian 2x2 H.  With H = a0 1 + K, a0 = tr H / 2
+    and K traceless, K^2 = r^2 1 where r^2 = ((h00 - h11) / 2)^2 + |h01|^2, so
+    exp(iH) = e^{i a0} (cos r 1 + i (sin r / r) K)."""
+    h00, h11, h01 = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 0, 1]
+    d = 0.5 * (h00 - h11)
+    r = np.hypot(d, np.abs(h01))
+    phase = np.exp(0.5j * (h00 + h11))
+    cos = phase * np.cos(r)
+    # np.sinc(x) = sin(pi x) / (pi x), exactly 1 at r = 0
+    isin = 1j * phase * np.sinc(r / np.pi)
+    out = np.empty(h.shape, dtype=complex)
+    out[..., 0, 0] = cos + isin * d
+    out[..., 1, 1] = cos - isin * d
+    out[..., 0, 1] = isin * h01
+    out[..., 1, 0] = isin * h01.conj()
+    return out
+
+
 def exp_map(coords: np.ndarray, gens: GeneratorSet) -> np.ndarray:
-    """exp(i sum_k X^k tau_k) via eigendecomposition of the Hermitian argument,
-    so the result is unitary up to rounding.  Supports batched coords."""
+    """exp(i sum_k X^k tau_k) of the Hermitian argument H, unitary up to
+    rounding.  Closed forms for N <= 2: the phase e^{iH} for N = 1, and
+    e^{i a0} (cos r 1 + i (sin r / r) K) for N = 2 (see _exp_2x2); N >= 3
+    goes through the eigendecomposition of H.  Supports batched coords."""
     coords = np.asarray(coords, dtype=float)
     if not np.isfinite(coords).all():
         raise ValueError("non-finite coordinates")
     h = gens.assemble(coords)
+    if gens.dim == 1:
+        return np.exp(1j * h)
+    if gens.dim == 2:
+        return _exp_2x2(h)
     w, v = np.linalg.eigh(h)
     # V diag(e^{iw}) V†: scale the columns of V, then one matmul
     return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)

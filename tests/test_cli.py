@@ -165,14 +165,17 @@ class TestCliExitCodes:
 
 @pytest.fixture
 def no_compute(monkeypatch):
-    """Make any walk step, Dirac solve or packet build fail the test: a
-    refused config must be refused before any of them runs."""
+    """Make any walk step, Dirac solve, packet build, curvature table or
+    random field draw fail the test: a refused config must be refused before
+    any of them runs."""
     def called(*args, **kwargs):
         raise AssertionError("computation started for an invalid config")
 
     monkeypatch.setattr(wk, "step", called)
     monkeypatch.setattr(dr, "solve", called)
     monkeypatch.setattr(dr, "gaussian_packet", called)
+    monkeypatch.setattr(ex, "curvature_order_table", called)
+    monkeypatch.setattr(lat.GaugeField, "random", called)
 
 
 class TestValidationBeforeCompute:
@@ -230,12 +233,19 @@ class TestValidationBeforeCompute:
         assert "config error: epsilons must be positive finite numbers" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("experiment", ["convergence", "trajectory", "evolve"])
+    @pytest.mark.parametrize("experiment", ["convergence", "trajectory", "evolve", "curvature-check"])
     def test_su2_runs_need_dim_2(self, no_compute, tmp_path, capsys, experiment):
         rc = cli.main([experiment, "--dim", "3", "--e-ym", "0.5", "--epsilon", "0.2", "--x-max", "4",
                        "--t-max", "0.4", "--sigma", "1.6", "--out", str(tmp_path / "run")])
         assert rc == 1
         assert f"the {experiment} experiment runs on an SU(2) field; it needs dim = 2" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("experiment, seed", [("gauge-check", "-1"), ("curvature-check", "-3")])
+    def test_negative_seed(self, no_compute, tmp_path, capsys, experiment, seed):
+        rc = cli.main([experiment, "--seed", seed, "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert "config error: seed must be a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_nonpositive_sigma(self, no_compute, tmp_path, capsys):

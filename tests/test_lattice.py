@@ -212,6 +212,56 @@ class TestGaugeTransformation:
             g.G(spec.j_max + 2)
 
 
+def random_lattice(kind, spec, dim, seed):
+    cls = lat.GaugeField if kind == "field" else lat.GaugeTransformation
+    return cls.random(spec, dim, seed, scale=0.7)
+
+
+def built(obj, j):
+    """The arrays of slice j: (P, Q) of a field, (G,) of a transformation."""
+    return (obj.P(j), obj.Q(j)) if isinstance(obj, lat.GaugeField) else (obj.G(j),)
+
+
+class TestRandomDraws:
+    """Slice j of a random field or transformation depends only on (seed, j)."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(["field", "transformation"]), st.integers(1, 3), st.integers(0, 2**32), st.integers(0, 8))
+    def test_rebuilt_slice_equals_first_build(self, kind, dim, seed, j):
+        spec = small_spec()
+        obj = random_lattice(kind, spec, dim, seed)
+        first = built(obj, j)
+        for k in range(spec.j_max + 1):
+            if k != j:
+                built(obj, k)
+        misses = obj._slices.cache_info().misses
+        again = built(obj, j)
+        assert obj._slices.cache_info().misses == misses + 1  # evicted, so rebuilt
+        assert all(a is not b and np.array_equal(a, b) for a, b in zip(again, first))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(["field", "transformation"]), st.integers(1, 3), st.integers(0, 2**32))
+    def test_build_order_does_not_matter(self, kind, dim, seed):
+        spec = small_spec()
+        forward, backward = (random_lattice(kind, spec, dim, seed) for _ in range(2))
+        js = range(spec.j_max + 1)
+        ahead = [built(forward, j) for j in js]
+        behind = [built(backward, j) for j in reversed(js)][::-1]
+        for a, b in zip(ahead, behind):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**32), st.integers(0, 7))
+    def test_slices_and_kinds_draw_apart(self, dim, seed, j):
+        spec = small_spec()
+        f = random_lattice("field", spec, dim, seed)
+        g = random_lattice("transformation", spec, dim, seed)
+        assert not np.array_equal(f.P(j), f.P(j + 1))
+        assert not np.array_equal(f.P(j), f.Q(j))
+        assert not np.array_equal(g.G(j), g.G(j + 1))
+        assert not np.array_equal(f.P(j), g.G(j))
+
+
 class TestHolonomies:
     def test_identity_field(self):
         spec = small_spec()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaugewalk import unitary as un
@@ -219,6 +219,18 @@ def einsum_exp_map(coords, gens):
     return np.einsum("...ik,...k,...jk->...ij", v, np.exp(1j * w), v.conj())
 
 
+def longdouble_exp_2x2(coords, gens):
+    """exp(iH) = e^{i a0} (cos r + i (sin r / r) K) for N = 2, in long double."""
+    h = einsum_assemble(coords, gens).astype(np.clongdouble)
+    a0 = (h[..., 0, 0] + h[..., 1, 1]).real / 2
+    k = h - a0[..., None, None] * np.eye(2)
+    r = np.sqrt(np.sum(np.abs(k) ** 2, axis=(-1, -2)) / 2)
+    safe = np.where(r > 0, r, 1)
+    sinc = np.where(r > 0, np.sin(safe) / safe, 1)
+    m = np.cos(r)[..., None, None] * np.eye(2) + 1j * sinc[..., None, None] * k
+    return (np.exp(1j * a0)[..., None, None] * m).astype(complex)
+
+
 def eye_defect(m):
     return float(np.max(np.abs(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1]))))
 
@@ -227,21 +239,44 @@ class TestKernelsMatchReferences:
     """assemble, exp_map and unitarity_defect against the einsum and np.eye
     forms they replaced, on single, batched and stride-0 broadcast inputs."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 10_000), st.sampled_from(["single", "batched", "broadcast"]),
-           st.booleans())
-    def test_assemble_and_exp_map(self, n, seed, layout, su):
-        gens = un.generators_su(n) if su and n > 1 else un.generators_u(n)
+           st.booleans(), st.sampled_from(["generic", "zero", "u1", "r=1e-9", "r=1e2"]))
+    @example(2, 0, "batched", False, "zero")
+    @example(2, 1, "batched", False, "u1")
+    @example(2, 2, "batched", False, "r=1e-9")
+    @example(2, 3, "batched", True, "r=1e-9")
+    @example(2, 4, "batched", False, "r=1e2")
+    @example(2, 5, "batched", True, "r=1e2")
+    def test_assemble_and_exp_map(self, n, seed, layout, su, regime):
+        # for N = 2 the regime sets r, the norm of the traceless part of H:
+        # zero coordinates, only the U(1) direction (r = 0, a0 != 0), r near
+        # 1e-9 or near 1e2
+        gens = un.generators_su(n) if su and n > 1 and regime != "u1" else un.generators_u(n)
         rng = np.random.default_rng(seed)
-        coords = {"single": rng.normal(0, 2, len(gens)),
-                  "batched": rng.normal(0, 2, (2, 5, len(gens))),
-                  "broadcast": np.broadcast_to(rng.normal(0, 2, len(gens)), (7, len(gens)))}[layout]
+        base = rng.normal(0, 2, ((2, 5) if layout == "batched" else ()) + (len(gens),))
+        traceless = base[..., len(gens) - n * n + 1:]  # all but the identity direction, if any
+        if regime in ("zero", "u1"):
+            traceless[...] = 0
+            if regime == "zero":
+                base[...] = 0
+        elif regime != "generic" and traceless.shape[-1]:
+            # for the generators sigma_k / 2, r is half the coordinates' norm
+            traceless *= 2 * float(regime[2:]) / np.linalg.norm(traceless, axis=-1, keepdims=True)
+        coords = np.broadcast_to(base, (7, len(gens))) if layout == "broadcast" else base
         h = gens.assemble(coords)
         assert h.shape == coords.shape[:-1] + (n, n)
         assert np.max(np.abs(h - einsum_assemble(coords, gens))) <= 1e-13
         m = un.exp_map(coords, gens)
         assert m.shape == coords.shape[:-1] + (n, n)
-        assert np.max(np.abs(m - einsum_exp_map(coords, gens))) <= 1e-13
+        # the eigh reference's own rounding grows like r: at r = 1e2 it is off by
+        # up to 1.3e-13 from the long-double value, the closed form by 2.4e-14
+        assert np.max(np.abs(m - einsum_exp_map(coords, gens))) <= (2e-13 if regime == "r=1e2" else 1e-13)
+        if n == 2:
+            assert np.max(np.abs(m - longdouble_exp_2x2(coords, gens))) <= 1e-13
+        assert un.unitarity_defect(m) <= 1e-13
+        if regime == "zero" and n <= 2:
+            assert np.array_equal(m, np.broadcast_to(np.eye(n), m.shape))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 10_000), st.floats(0, 1e-3))
