@@ -7,11 +7,15 @@ desk-check at a third of the domain."""
 
 import argparse
 import json
+import sys
 
+from gaugewalk.cli import report_failures
 from gaugewalk.experiments import ExperimentConfig, run_convergence
 
 
-def main(argv=None):
+def main(argv=None) -> int:
+    """Exit codes as for gaugewalk: 0 success, 1 config error, 2 invariant
+    violation, 3 numerical abort."""
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--e-ym", type=float, default=0.08)
     ap.add_argument("--mass", type=float, default=0.1)
@@ -23,17 +27,20 @@ def main(argv=None):
                     help="smaller domain and horizon (~6s instead of ~1min)")
     args = ap.parse_args(argv)
 
-    x_max, t_max = (30.0, 10.0) if args.quick else (100.0, 50.0)
-    cfg = ExperimentConfig(
-        experiment="convergence", dim=2, mass=args.mass, e_ym=args.e_ym,
-        sigma=args.sigma, k0=args.k0,
-        epsilons=tuple(args.epsilons or (0.4, 0.2, 0.1, 0.05)),
-        x_max=x_max, t_max=t_max, output_dir=args.out)
-    res = run_convergence(cfg)
-    print(json.dumps({k: res[k] for k in
-                      ("slope_re", "slope_im", "r2_re", "r2_im")}, indent=2))
-    print(f"artifacts written to {args.out}/")
+    def run():
+        x_max, t_max = (30.0, 10.0) if args.quick else (100.0, 50.0)
+        cfg = ExperimentConfig(
+            experiment="convergence", dim=2, mass=args.mass, e_ym=args.e_ym,
+            sigma=args.sigma, k0=args.k0,
+            epsilons=tuple(args.epsilons or (0.4, 0.2, 0.1, 0.05)),
+            x_max=x_max, t_max=t_max, output_dir=args.out)
+        res = run_convergence(cfg)
+        print(json.dumps({k: res[k] for k in
+                          ("slope_re", "slope_im", "r2_re", "r2_im")}, indent=2))
+        print(f"artifacts written to {args.out}/")
+
+    return report_failures(run)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -6,29 +6,36 @@ halving table, field-strength extraction, Abelian cross-check)."""
 
 import argparse
 import json
+import sys
 
+from gaugewalk.cli import report_failures
 from gaugewalk.experiments import ExperimentConfig, run_curvature_check, run_gauge_check
 
 
-def main(argv=None):
+def main(argv=None) -> int:
+    """Exit codes as for gaugewalk: 0 success, 1 config error, 2 invariant
+    violation, 3 numerical abort."""
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dim", type=int, default=2)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="out/audit")
     args = ap.parse_args(argv)
 
-    gauge = run_gauge_check(ExperimentConfig(
-        experiment="gauge-check", dim=args.dim, seed=args.seed,
-        output_dir=f"{args.out}/gauge"))
-    print("gauge-check residuals:", json.dumps(gauge["residuals"], indent=2))
+    def run():
+        # both configs are checked before either experiment runs
+        gauge_cfg = ExperimentConfig(experiment="gauge-check", dim=args.dim, seed=args.seed,
+                                     output_dir=f"{args.out}/gauge")
+        curv_cfg = ExperimentConfig(experiment="curvature-check", seed=args.seed,
+                                    output_dir=f"{args.out}/curvature")
+        gauge = run_gauge_check(gauge_cfg)
+        print("gauge-check residuals:", json.dumps(gauge["residuals"], indent=2))
+        curv = run_curvature_check(curv_cfg)
+        print(f"curvature remainder orders (generic field): "
+              f"{[round(o, 2) for o in curv['generic']['orders']]}")
+        print(f"abelian pipeline residual: {curv['abelian_pipeline_residual']:.2e}")
 
-    curv = run_curvature_check(ExperimentConfig(
-        experiment="curvature-check", seed=args.seed,
-        output_dir=f"{args.out}/curvature"))
-    print(f"curvature remainder orders (generic field): "
-          f"{[round(o, 2) for o in curv['generic']['orders']]}")
-    print(f"abelian pipeline residual: {curv['abelian_pipeline_residual']:.2e}")
+    return report_failures(run)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

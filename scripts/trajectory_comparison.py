@@ -5,13 +5,17 @@ writes trajectory.csv (t, xbar_walk, x_classical, E_ym) into its own
 subdirectory of --out."""
 
 import argparse
+import sys
 
 import numpy as np
 
+from gaugewalk.cli import report_failures
 from gaugewalk.experiments import ExperimentConfig, run_trajectory
 
 
-def main(argv=None):
+def main(argv=None) -> int:
+    """Exit codes as for gaugewalk: 0 success, 1 config error, 2 invariant
+    violation, 3 numerical abort."""
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--e-ym", type=float, action="append", dest="e_yms",
                     help="field strength; repeat for several runs")
@@ -24,20 +28,24 @@ def main(argv=None):
     ap.add_argument("--out", default="out/trajectory")
     args = ap.parse_args(argv)
 
-    for e_ym in args.e_yms or (0.0, 0.02, 0.05):
-        cfg = ExperimentConfig(
+    def run():
+        # every run's config is checked before the first run starts
+        configs = [ExperimentConfig(
             experiment="trajectory", dim=2, mass=args.mass, e_ym=e_ym, g=1.0,
             epsilons=(args.epsilon,), sigma=args.sigma, k0=args.k0,
             x_max=args.x_max, t_max=args.t_max,
-            output_dir=f"{args.out}/e{e_ym:g}")
-        res = run_trajectory(cfg)
-        dev = np.max(np.abs(np.array(res["xbar_walk"]) - np.array(res["x_classical"])))
-        traversed = abs(res["final_x_classical"] - res["x_classical"][0])
-        pct = 100.0 * dev / traversed if traversed else float("nan")
-        print(f"E_ym={e_ym:g}: final xbar {res['final_xbar']:+.3f}, "
-              f"classical {res['final_x_classical']:+.3f}, "
-              f"max deviation {dev:.3f} ({pct:.1f}% of traversed)")
+            output_dir=f"{args.out}/e{e_ym:g}") for e_ym in args.e_yms or (0.0, 0.02, 0.05)]
+        for cfg in configs:
+            res = run_trajectory(cfg)
+            dev = np.max(np.abs(np.array(res["xbar_walk"]) - np.array(res["x_classical"])))
+            traversed = abs(res["final_x_classical"] - res["x_classical"][0])
+            pct = 100.0 * dev / traversed if traversed else float("nan")
+            print(f"E_ym={cfg.e_ym:g}: final xbar {res['final_xbar']:+.3f}, "
+                  f"classical {res['final_x_classical']:+.3f}, "
+                  f"max deviation {dev:.3f} ({pct:.1f}% of traversed)")
+
+    return report_failures(run)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -56,11 +56,11 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+def report_failures(run) -> int:
+    """Call run(); return 0, or print its failure as one line on stderr and
+    return the exit code of its cause."""
     try:
-        cfg = build_config(args)
-        result = EXPERIMENTS[cfg.experiment](cfg)
+        run()
     except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -70,9 +70,19 @@ def main(argv=None) -> int:
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
-    summary = {k: v for k, v in result.items() if not isinstance(v, (list, dict))}
-    print(json.dumps({"experiment": cfg.experiment, "output_dir": cfg.output_dir, **summary}))
     return 0
+
+
+def main(argv=None) -> int:
+    args = make_parser().parse_args(argv)
+
+    def run():
+        cfg = build_config(args)
+        result = EXPERIMENTS[cfg.experiment](cfg)
+        summary = {k: v for k, v in result.items() if not isinstance(v, (list, dict))}
+        print(json.dumps({"experiment": cfg.experiment, "output_dir": cfg.output_dir, **summary}))
+
+    return report_failures(run)
 
 
 if __name__ == "__main__":

@@ -63,12 +63,18 @@ def _check_time_index(spec: LatticeSpec, j: int, lo: int = 0) -> None:
         raise SiteRangeError(f"time index {j} outside [{lo}, {spec.j_max}]")
 
 
+def uniform_in_x(arr: np.ndarray) -> bool:
+    """Whether a slice of shape (n_sites, N, N) is uniform in x: one matrix
+    broadcast to every site, with stride 0 over sites."""
+    return arr.strides[0] == 0
+
+
 def _validate_slice(arr: np.ndarray, spec: LatticeSpec, dim: int, j: int, what: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=complex)
     if arr.shape != (spec.n_sites, dim, dim):
         raise DimensionError(f"{what} slice j={j} has shape {arr.shape}, expected {(spec.n_sites, dim, dim)}")
     # a slice uniform in x is one matrix viewed at every site: check it once
-    distinct = arr[:1] if arr.strides[0] == 0 else arr
+    distinct = arr[:1] if uniform_in_x(arr) else arr
     defect = unitarity_defect(distinct)
     # a non-finite entry makes the defect NaN or inf, which fails this test;
     # the entry is looked for only to word the error

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import GaugeField, GaugeTransformation, LatticeSpec
+from .lattice import GaugeField, GaugeTransformation, LatticeSpec, uniform_in_x
 from .unitary import DimensionError
 
 
@@ -66,10 +66,14 @@ def coin_matrix(theta: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
                          [i sin(theta) P, cos(theta) Q]]."""
     p = np.asarray(p, dtype=complex)
     q = np.asarray(q, dtype=complex)
-    if p.shape != q.shape or p.shape[0] != p.shape[1]:
+    if p.shape != q.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise DimensionError("P and Q must be square matrices of the same size")
+    n = p.shape[0]
     c, s = np.cos(theta), 1j * np.sin(theta)
-    return np.block([[c * p, s * q], [s * p, c * q]])
+    b = np.empty((2 * n, 2 * n), dtype=complex)
+    b[:n, :n], b[:n, n:] = c * p, s * q
+    b[n:, :n], b[n:, n:] = s * p, c * q
+    return b
 
 
 def _same_space(a: LatticeSpec, b: LatticeSpec) -> bool:
@@ -79,7 +83,14 @@ def _same_space(a: LatticeSpec, b: LatticeSpec) -> bool:
 
 def step(state: WalkState, field: GaugeField, config: WalkConfig) -> WalkState:
     """One walk step: shift (psi^- from p+1, psi^+ from p-1, periodic), then
-    the coin with P, Q taken at the destination site (j, p)."""
+    the coin with P, Q taken at the destination site (j, p).
+
+    When both links of slice j are uniform in x, every site has the same
+    coin B(theta, P, Q) (see coin_matrix), and the step is one product of
+    the shifted (n_sites, 2N) rows with B transposed.  That is the per-site
+    formula with its scalars moved inside, c (P psi) -> (c P) psi, so the
+    two paths agree to rounding (~1e-15).  Slices that vary in x keep the
+    per-site arithmetic unchanged."""
     if state.dim != field.dim or state.dim != config.dim:
         raise DimensionError("state, field and config dimensions disagree")
     if not _same_space(state.spec, field.spec):
@@ -88,13 +99,17 @@ def step(state: WalkState, field: GaugeField, config: WalkConfig) -> WalkState:
     shifted = np.empty_like(amps)
     shifted[:-1, :n], shifted[-1, :n] = amps[1:, :n], amps[0, :n]  # psi^-_{j, p+1}
     shifted[1:, n:], shifted[0, n:] = amps[:-1, n:], amps[-1, n:]  # psi^+_{j, p-1}
-    p_rot = (field.P(state.j) @ shifted[:, :n, None])[..., 0]
-    q_rot = (field.Q(state.j) @ shifted[:, n:, None])[..., 0]
-    c, s = np.cos(config.theta), 1j * np.sin(config.theta)
-    # the output is allocated after the temporaries, so they are freed below
-    # a live array; with the output allocated first they were freed at the
-    # heap top, trimmed, and faulted back in on every step of a large lattice
-    out = np.concatenate((c * p_rot + s * q_rot, s * p_rot + c * q_rot), axis=1)
+    p, q = field.P(state.j), field.Q(state.j)
+    if uniform_in_x(p) and uniform_in_x(q):
+        out = shifted @ coin_matrix(config.theta, p[0], q[0]).T
+    else:
+        p_rot = (p @ shifted[:, :n, None])[..., 0]
+        q_rot = (q @ shifted[:, n:, None])[..., 0]
+        c, s = np.cos(config.theta), 1j * np.sin(config.theta)
+        # the output is allocated after the temporaries, so they are freed below
+        # a live array; with the output allocated first they were freed at the
+        # heap top, trimmed, and faulted back in on every step of a large lattice
+        out = np.concatenate((c * p_rot + s * q_rot, s * p_rot + c * q_rot), axis=1)
     return WalkState(state.spec, state.dim, state.j + 1, out)
 
 

@@ -163,6 +163,19 @@ class TestCliExitCodes:
         assert "under-resolved at eps=0.4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exc, code, prefix", [
+    (ex.ConfigError("bad"), 1, "config error: bad"),
+    (ex.InvariantViolation("drift"), 2, "invariant violation: drift"),
+    (dr.NumericalAbort(0.5), 3, "numerical abort: non-finite field at t = 0.5"),
+])
+def test_report_failures_maps_cause_to_exit_code(exc, code, prefix, capsys):
+    def run():
+        raise exc
+
+    assert cli.report_failures(run) == code
+    assert capsys.readouterr().err == prefix + "\n"
+
+
 @pytest.fixture
 def no_compute(monkeypatch):
     """Make any walk step, Dirac solve, packet build, curvature table or

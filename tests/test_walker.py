@@ -36,6 +36,17 @@ class TestWalkConfig:
             wk.WalkConfig(2, float("nan"))
 
 
+def _coin_block(theta, p, q):
+    """The coin written with np.block, as the reference for coin_matrix."""
+    c, s = np.cos(theta), 1j * np.sin(theta)
+    return np.block([[c * p, s * q], [s * p, c * q]])
+
+
+DIMS = st.integers(1, 4)
+THETAS = st.one_of(st.sampled_from([0.0, np.pi / 2]), st.floats(-np.pi, np.pi))
+SEEDS = st.integers(0, 10_000)
+
+
 class TestCoinMatrix:
     def test_theta_zero_block_diagonal(self):
         p = un.su2_closed_form(np.array([0.1, 0.2, 0.3]))
@@ -63,6 +74,18 @@ class TestCoinMatrix:
     def test_shape_check(self):
         with pytest.raises(un.DimensionError):
             wk.coin_matrix(0.1, np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("link", [np.ones((2, 3)), np.ones(2)], ids=["non-square", "1-d"])
+    def test_refuses_links_that_are_not_square_matrices(self, link):
+        with pytest.raises(un.DimensionError):
+            wk.coin_matrix(0.1, link, link)
+
+    @settings(max_examples=30, deadline=None)
+    @given(DIMS, THETAS, SEEDS)
+    def test_equals_block_form(self, dim, theta, seed):
+        rng = np.random.default_rng(seed)
+        p, q = un.random_unitary(dim, rng), un.random_unitary(dim, rng)
+        assert np.array_equal(wk.coin_matrix(theta, p, q), _coin_block(theta, p, q))
 
 
 class TestStep:
@@ -148,6 +171,75 @@ class TestKernelsMatchEinsum:
             got = wk.gauge_transform_state(state, g)
             assert got.j == 2
             assert np.max(np.abs(got.amplitudes - want)) <= 1e-13
+
+
+def _per_site_formula(state, p, q, theta):
+    """The per-site step: one matrix-vector product per site and link."""
+    n, amps = state.dim, state.amplitudes
+    shifted = np.concatenate((np.roll(amps[:, :n], -1, axis=0), np.roll(amps[:, n:], 1, axis=0)), axis=1)
+    p_rot = (p @ shifted[:, :n, None])[..., 0]
+    q_rot = (q @ shifted[:, n:, None])[..., 0]
+    c, s = np.cos(theta), 1j * np.sin(theta)
+    return np.concatenate((c * p_rot + s * q_rot, s * p_rot + c * q_rot), axis=1)
+
+
+def _uniform_field(spec, dim, seed):
+    """A from_potentials field whose coordinates depend on t only, so every
+    slice is uniform in x."""
+    rng = np.random.default_rng(seed)
+    a0, a1, c0, c1 = (3 * rng.standard_normal(dim * dim) for _ in range(4))
+    return lat.GaugeField.from_potentials(lambda t, x: a0 + t * a1, lambda t, x: c0 + t * c1,
+                                          spec, un.generators_u(dim))
+
+
+def _per_site_copy(field):
+    """The same slices copied into per-site arrays."""
+    js = range(field.spec.j_max + 1)
+    return lat.GaugeField.from_arrays(field.spec, np.array([field.P(j) for j in js]),
+                                      np.array([field.Q(j) for j in js]))
+
+
+class TestUniformPath:
+    @settings(max_examples=30, deadline=None)
+    @given(DIMS, THETAS, SEEDS)
+    def test_uniform_field_matches_per_site_copy(self, dim, theta, seed):
+        spec = lat.LatticeSpec(0.1, 4, 6)
+        field = _uniform_field(spec, dim, seed)
+        assert lat.uniform_in_x(field.P(0)) and lat.uniform_in_x(field.Q(0))
+        copy = _per_site_copy(field)
+        assert not lat.uniform_in_x(copy.P(0))
+        state, cfg = random_state(spec, dim, seed + 1), wk.WalkConfig(dim, theta)
+        for _ in range(spec.j_max):
+            got, want = wk.step(state, field, cfg), wk.step(state, copy, cfg)
+            assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-13
+            state = want
+
+    @settings(max_examples=30, deadline=None)
+    @given(DIMS, THETAS, SEEDS, st.booleans())
+    def test_one_uniform_link_takes_per_site_path(self, dim, theta, seed, uniform_p):
+        spec = lat.LatticeSpec(0.1, 4, 6)
+        rng = np.random.default_rng(seed)
+        one = np.broadcast_to(un.random_unitary(dim, rng), (spec.n_sites, dim, dim))
+        sites = np.array([un.random_unitary(dim, rng) for _ in range(spec.n_sites)])
+        p, q = (one, sites) if uniform_p else (sites, one)
+        field = lat.GaugeField(spec, dim, lambda j: (p, q))
+        state = random_state(spec, dim, seed + 1, j=2)
+        got = wk.step(state, field, wk.WalkConfig(dim, theta))
+        assert np.array_equal(got.amplitudes, _per_site_formula(state, p, q, theta))
+        coins = [wk.coin_matrix(theta, p[i], q[i]) for i in range(spec.n_sites)]
+        shifted = np.concatenate((np.roll(state.psi_minus, -1, axis=0), np.roll(state.psi_plus, 1, axis=0)),
+                                 axis=1)
+        want = np.array([b @ v for b, v in zip(coins, shifted)])
+        assert np.max(np.abs(got.amplitudes - want)) <= 1e-13
+
+    @settings(max_examples=30, deadline=None)
+    @given(DIMS, THETAS, SEEDS)
+    def test_per_site_step_is_bit_identical(self, dim, theta, seed):
+        spec = lat.LatticeSpec(0.1, 4, 6)
+        field = lat.GaugeField.random(spec, dim, seed, scale=0.8)
+        state = random_state(spec, dim, seed + 1, j=3)
+        got = wk.step(state, field, wk.WalkConfig(dim, theta))
+        assert np.array_equal(got.amplitudes, _per_site_formula(state, field.P(3), field.Q(3), theta))
 
 
 class TestEvolve:
