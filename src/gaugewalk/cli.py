@@ -11,6 +11,7 @@ import sys
 
 from .dirac import NumericalAbort
 from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, InvariantViolation
+from .unitary import UnitarityError
 
 
 def _add_overrides(sub: argparse.ArgumentParser) -> None:
@@ -31,20 +32,11 @@ def _add_overrides(sub: argparse.ArgumentParser) -> None:
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    base = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            base = json.load(fh)
-    base["experiment"] = args.experiment
-    for name in ("epsilons", "e_ym", "mass", "sigma", "k0", "g", "theta", "dim",
-                 "x_max", "t_max", "seed", "output_dir"):
-        value = getattr(args, name, None)
-        if value is not None:
-            base[name] = value
-    try:
-        return ExperimentConfig(**base)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    """The --config file's fields, overridden by the flags given."""
+    flags = {name: getattr(args, name, None) for name in (
+        "epsilons", "e_ym", "mass", "sigma", "k0", "g", "theta", "dim", "x_max", "t_max", "seed", "output_dir")}
+    return ExperimentConfig.from_json(args.config or None, experiment=args.experiment,
+                                      **{k: v for k, v in flags.items() if v is not None})
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -61,12 +53,14 @@ def report_failures(run) -> int:
     return the exit code of its cause."""
     try:
         run()
+    # before ValueError: a slice that fails its unitarity check is a
+    # UnitarityError, which is a ValueError too
+    except (InvariantViolation, UnitarityError) as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 2
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3

@@ -5,7 +5,12 @@ A SpinorField holds either point values on the grid or their DFT
 coefficients (its `spectral` flag).  When the gauge potential is uniform in x
 the derivative and the potential both act mode by mode, so `solve` marches
 the Fourier coefficients and needs no FFT per step; x-dependent potentials
-are marched in x space."""
+are marched in x space.
+
+Each grid keeps, once per N, the derivative symbol ik and the chirality sign
+(+1 on psi^-, -1 on psi^+) tiled to a spinor's (n, 2N) shape
+(`SpectralGrid.spinor_symbols`), so the per-step products run over whole
+contiguous arrays instead of broadcasting an (n,) or (2N,) factor."""
 
 from __future__ import annotations
 
@@ -63,6 +68,19 @@ class SpectralGrid:
         one read-only array per grid."""
         return self._symbol
 
+    def spinor_symbols(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ik, sign) tiled to the (n_points, 2 dim) shape of a spinor field:
+        derivative_symbol in every column, and +1 on the psi^- columns, -1 on
+        the psi^+ ones.  Read-only, built once per grid and dim."""
+        pair = self._tiled.get(dim)
+        if pair is None:
+            ik = np.repeat(self._symbol[:, None], 2 * dim, axis=1)
+            # complex, so multiplying a field by it needs no per-call cast
+            sign = np.tile(np.repeat((1.0 + 0j, -1.0 + 0j), dim), (self.n_points, 1))
+            ik.flags.writeable = sign.flags.writeable = False
+            pair = self._tiled[dim] = (ik, sign)
+        return pair
+
     @cached_property
     def _positions(self) -> np.ndarray:
         x = self.x_min + self.dx * np.arange(self.n_points)
@@ -76,6 +94,10 @@ class SpectralGrid:
             ik[self.n_points // 2] = 0.0
         ik.flags.writeable = False
         return ik
+
+    @cached_property
+    def _tiled(self) -> dict:
+        return {}
 
     def synthesize(self, coefficients: np.ndarray) -> np.ndarray:
         """f(x_i) = sum_m c_m exp(i k_m x_i) for coefficients indexed in DFT
@@ -124,7 +146,7 @@ class SpinorField:
 def spectral_derivative(f: SpinorField) -> SpinorField:
     """Componentwise d/dx in f's representation: multiply the coefficients
     by ik (FFT in and out for an x-space field)."""
-    hat = f.to_spectral().values * f.grid.derivative_symbol()[:, None]
+    hat = f.to_spectral().values * f.grid.spinor_symbols(f.dim)[0]
     d = SpinorField(f.grid, f.dim, hat, True)
     return d if f.spectral else d.to_physical()
 
@@ -150,20 +172,30 @@ class DiracParams:
         return all(sample_potential(fn, 0.0, x, len(self.gens)).ndim == 1 for fn in (self.b0, self.b1))
 
     def potential_matrices(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(B0, B1) at time t: one matrix each for a uniform sample, one per
+        point otherwise."""
         gens = self.gens
-        return (gens.assemble(sample_potential(self.b0, t, x, len(gens))),
-                gens.assemble(sample_potential(self.b1, t, x, len(gens))))
+        c0 = sample_potential(self.b0, t, x, len(gens))
+        c1 = sample_potential(self.b1, t, x, len(gens))
+        if c0.shape != c1.shape:
+            return gens.assemble(c0), gens.assemble(c1)
+        # both samples in one assemble: its rows are computed independently
+        b = gens.assemble(np.array((c0, c1)))
+        return b[0], b[1]
 
 
 def coupling_matrix(b0: np.ndarray, b1: np.ndarray, mass: float) -> np.ndarray:
     """i [[B0 - B1, -m], [-m, B0 + B1]]: the non-derivative part of the Dirac
     generator, (2N,2N) for uniform potentials or (n,2N,2N) per point."""
     n = b0.shape[-1]
-    diff = b0 - b1
-    c = np.empty(diff.shape[:-2] + (2 * n, 2 * n), dtype=complex)
-    c[..., :n, :n] = diff
-    c[..., n:, n:] = b0 + b1
-    c[..., :n, n:] = c[..., n:, :n] = -mass * np.eye(n)
+    lead = b0.shape[:-2] if b0.shape == b1.shape else np.broadcast_shapes(b0.shape, b1.shape)[:-2]
+    c = np.zeros(lead + (2 * n, 2 * n), dtype=complex)
+    np.subtract(b0, b1, out=c[..., :n, :n])
+    np.add(b0, b1, out=c[..., n:, n:])
+    # the diagonals of the two off-diagonal blocks, as strided views of the
+    # flattened matrices: entries (i, n + i) and (n + i, i)
+    flat = c.reshape(lead + (4 * n * n,))
+    flat[..., n : 2 * n * n : 2 * n + 1] = flat[..., 2 * n * n :: 2 * n + 1] = -mass
     c *= 1j
     return c
 
@@ -183,7 +215,11 @@ def dirac_rhs(f: SpinorField, params: DiracParams, t: float) -> SpinorField:
         raise DimensionError("an x-dependent potential cannot act on a spectral field")
     else:
         out = np.einsum("pij,pj->pi", c, f.values)
-    out += d.values * np.repeat((1.0, -1.0), f.dim)
+    # signed in place: a field-sized temporary per call costs page faults
+    # on large grids
+    dv = d.values
+    dv *= f.grid.spinor_symbols(f.dim)[1]
+    out += dv
     return SpinorField(f.grid, f.dim, out, f.spectral)
 
 
@@ -249,7 +285,15 @@ def solve(initial: SpinorField, params: DiracParams, t_max: float, dt: float,
     Fourier coefficients: the FFT is linear and commutes with the uniform
     potential and mass terms, so this is the same RK2 up to rounding, with
     one transform in and one out instead of two pairs per step.  The
-    observer and the caller always receive x-space fields."""
+    observer and the caller always receive x-space fields.
+
+    Each step reads ik and the psi^+ sign from the grid's cached tiled
+    arrays (built on the first step for this grid and N) and assembles B0
+    and B1 in one call.  Those multiply the same numbers as broadcasting
+    ik over the 2N columns and the sign over the n points, so the scheme
+    and its arithmetic are unchanged; only for N >= 3 can the joint
+    assemble round B0 and B1 differently, in the last bit, from one
+    assemble each."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_max < 0:

@@ -75,10 +75,11 @@ class ExperimentConfig:
             raise ConfigError(f"the {self.experiment} experiment runs on an SU(2) field; it needs dim = 2")
         if self.sigma <= 0:
             raise ConfigError("sigma must be positive")
-        epsilons = tuple(self.epsilons)
-        if not all(_is_number(e) and e > 0 for e in epsilons):
+        if not isinstance(self.epsilons, (list, tuple)):
+            raise ConfigError("epsilons must be a list of positive finite numbers")
+        if not all(_is_number(e) and e > 0 for e in self.epsilons):
             raise ConfigError("epsilons must be positive finite numbers")
-        self.epsilons = tuple(float(e) for e in epsilons)
+        self.epsilons = tuple(float(e) for e in self.epsilons)
         if self.experiment == "convergence":
             # the slope fit needs three distinct lattice steps
             if len(self.epsilons) < 3 or len(set(self.epsilons)) != len(self.epsilons):
@@ -92,9 +93,17 @@ class ExperimentConfig:
             raise ConfigError(f"no room for the packet: x_max - 4/sigma - 2 = {self.safe_zone():.3g} <= 0")
 
     @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+    def from_json(cls, path, **overrides) -> "ExperimentConfig":
+        """The config held by the JSON object in the file at path (defaults
+        when path is None), with `overrides` on top.  A file that holds
+        anything but an object, or an unknown field, is a ConfigError."""
+        data = {}
+        if path is not None:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ConfigError(f"config file {path} must hold a JSON object, not {type(data).__name__}")
+        data.update(overrides)
         try:
             return cls(**data)
         except TypeError as exc:

@@ -12,6 +12,7 @@ from .unitary import (
     CONSTRUCTION_TOL,
     DimensionError,
     GeneratorSet,
+    UnitarityError,
     exp_map,
     factorize,
     generators_u,
@@ -82,7 +83,7 @@ def _validate_slice(arr: np.ndarray, spec: LatticeSpec, dim: int, j: int, what: 
         if not np.isfinite(distinct).all():
             bad = np.argwhere(~np.isfinite(distinct))[0]
             raise ValueError(f"non-finite {what} entry at j={j}, p={int(bad[0]) - spec.p_max}")
-        raise ValueError(f"{what} slice j={j} not unitary (defect {defect:.2e})")
+        raise UnitarityError(f"{what} slice j={j} not unitary (defect {defect:.2e})")
     arr.setflags(write=False)
     return arr
 

@@ -43,6 +43,25 @@ class TestExperimentConfig:
         with pytest.raises(ex.ConfigError):
             ex.ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("data", [[1, 2], 0.1, "evolve", None], ids=["list", "number", "string", "null"])
+    def test_from_json_needs_an_object(self, tmp_path, data):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ex.ConfigError, match="must hold a JSON object"):
+            ex.ExperimentConfig.from_json(path)
+
+    def test_from_json_overrides(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"experiment": "evolve", "t_max": 2.0, "mass": 0.3}))
+        cfg = ex.ExperimentConfig.from_json(path, t_max=3.0)
+        assert (cfg.t_max, cfg.mass) == (3.0, 0.3)
+        assert ex.ExperimentConfig.from_json(None, experiment="evolve") == ex.ExperimentConfig(experiment="evolve")
+
+    @pytest.mark.parametrize("epsilons", [0.1, "0.1", None])
+    def test_epsilons_must_be_a_list(self, epsilons):
+        with pytest.raises(ex.ConfigError, match="^epsilons must be a list of positive finite numbers$"):
+            ex.ExperimentConfig(experiment="evolve", epsilons=epsilons)
+
 
 class TestPotentialLibraries:
     def test_electric_field_coordinates(self):
@@ -167,6 +186,9 @@ class TestCliExitCodes:
     (ex.ConfigError("bad"), 1, "config error: bad"),
     (ex.InvariantViolation("drift"), 2, "invariant violation: drift"),
     (dr.NumericalAbort(0.5), 3, "numerical abort: non-finite field at t = 0.5"),
+    (un.UnitarityError("P slice j=3 not unitary (defect 1.0e+00)"), 2,
+     "invariant violation: P slice j=3 not unitary (defect 1.0e+00)"),
+    (un.DimensionError("shape"), 1, "config error: shape"),
 ])
 def test_report_failures_maps_cause_to_exit_code(exc, code, prefix, capsys):
     def run():
@@ -244,6 +266,22 @@ class TestValidationBeforeCompute:
         rc = cli.main(["evolve", "--config", str(path), "--x-max", "4", "--t-max", "0.4", "--sigma", "1.6"])
         assert rc == 1
         assert "config error: epsilons must be positive finite numbers" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("experiment, data, message", [
+        ("evolve", [1, 2], "must hold a JSON object, not list"),
+        ("gauge-check", "x", "must hold a JSON object, not str"),
+        ("evolve", {"epsilons": 0.1}, "epsilons must be a list of positive finite numbers"),
+        ("convergence", {"epsilons": 0.1}, "epsilons must be a list of positive finite numbers"),
+    ], ids=["list", "string", "evolve-epsilons-number", "convergence-epsilons-number"])
+    def test_config_file_shape(self, no_compute, tmp_path, capsys, experiment, data, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        rc = cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("experiment", ["convergence", "trajectory", "evolve", "curvature-check"])

@@ -376,3 +376,135 @@ class TestSpectralMarch:
         assert f.to_physical() is f
         assert np.max(np.abs(spec.to_physical().values - f.values)) <= 1e-14
         assert np.allclose(spec.site_probabilities(), f.site_probabilities(), atol=1e-14)
+
+
+# The broadcast formulas the lean kernels replaced, kept here as references:
+# they broadcast an (n,) symbol and a (2N,) sign over the spinor's columns
+# and build the coupling with np.block.
+def reference_symbol(grid):
+    ik = 1j * 2 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
+    if grid.n_points % 2 == 0:
+        ik[grid.n_points // 2] = 0.0
+    return ik
+
+
+def reference_derivative(f):
+    hat = np.fft.fft(f.values, axis=0) if not f.spectral else f.values
+    hat = hat * reference_symbol(f.grid)[:, None]
+    return hat if f.spectral else np.fft.ifft(hat, axis=0)
+
+
+def reference_coupling(b0, b1, mass):
+    n = b0.shape[-1]
+    b0, b1 = np.broadcast_arrays(b0, b1)
+    lead = b0.shape[:-2]
+    off = np.broadcast_to(-mass * np.eye(n), lead + (n, n))
+    return 1j * np.block([[b0 - b1, off], [off, b0 + b1]])
+
+
+def reference_rhs(f, params, t):
+    b0, b1 = params.potential_matrices(t, f.grid.positions())
+    c = reference_coupling(b0, b1, params.mass)
+    out = f.values @ c.T if c.ndim == 2 else np.einsum("pij,pj->pi", c, f.values)
+    out += reference_derivative(f) * np.repeat((1.0, -1.0), f.dim)
+    return out
+
+
+def hermitian_stack(gens, lead, rng):
+    return gens.assemble(rng.normal(0, 1.5, lead + (len(gens),)))
+
+
+@st.composite
+def grids_and_fields(draw):
+    """(dim, field, seed): a field on an odd or even grid, in x space or
+    spectral; an even grid may carry a strong Nyquist mode."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    n_points = draw(st.integers(8, 41))
+    seed = draw(st.integers(0, 10_000))
+    grid = dr.SpectralGrid(n_points, -0.25 * n_points, draw(st.sampled_from([0.5, 0.1, 0.0375])))
+    f = random_field(grid, dim, seed)
+    if n_points % 2 == 0 and draw(st.booleans()):
+        nyquist = np.cos(np.pi * grid.positions() / grid.dx)
+        f = dr.SpinorField(grid, dim, f.values + 3.0 * nyquist[:, None])
+    return dim, (f.to_spectral() if draw(st.booleans()) else f), seed
+
+
+class TestLeanKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.sampled_from(["single", "stack", "mixed"]),
+           st.sampled_from([0.0, 0.1, 2.75]), st.integers(0, 10_000))
+    def test_coupling_matrix_equals_block_form(self, dim, kind, mass, seed):
+        rng = np.random.default_rng(seed)
+        gens = un.generators_u(dim)
+        lead0, lead1 = {"single": ((), ()), "stack": ((7,), (7,)), "mixed": ((), (7,))}[kind]
+        b0, b1 = hermitian_stack(gens, lead0, rng), hermitian_stack(gens, lead1, rng)
+        got = dr.coupling_matrix(b0, b1, mass)
+        want = reference_coupling(b0, b1, mass)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        got = dr.coupling_matrix(b1, b0, mass)
+        assert np.array_equal(got, reference_coupling(b1, b0, mass))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grids_and_fields())
+    def test_spectral_derivative_equals_broadcast_formula(self, case):
+        _, f, _ = case
+        d = dr.spectral_derivative(f)
+        assert d.spectral == f.spectral
+        assert np.array_equal(d.values, reference_derivative(f))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grids_and_fields(), st.sampled_from(["uniform", "per-point", "mixed"]))
+    def test_dirac_rhs_equals_broadcast_formula(self, case, kind):
+        dim, f, seed = case
+        params = random_uniform_params(dim, seed)
+        if kind != "uniform":
+            if f.spectral:
+                f = f.to_physical()
+            per_point = broadcast_params(params, f.grid.n_points)
+            b0 = params.b0 if kind == "mixed" else per_point.b0
+            params = dr.DiracParams(params.mass, b0, per_point.b1, params.gens)
+        rhs = dr.dirac_rhs(f, params, 0.37)
+        assert rhs.spectral == f.spectral
+        assert np.array_equal(rhs.values, reference_rhs(f, params, 0.37))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.sampled_from(["uniform", "per-point", "uniform+per-point",
+                                               "per-point+uniform"]), st.integers(0, 10_000))
+    def test_potential_matrices(self, dim, kind, seed):
+        grid = grid64()
+        x = grid.positions()
+        rng = np.random.default_rng(seed)
+        gens = un.generators_u(dim)
+        shapes = {"uniform": "uu", "per-point": "pp", "uniform+per-point": "up",
+                  "per-point+uniform": "pu"}[kind]
+        c0, c1 = (rng.normal(0, 1, (len(gens),) if s == "u" else (grid.n_points, len(gens)))
+                  for s in shapes)
+        params = dr.DiracParams(0.2, lambda t, xx: c0, lambda t, xx: c1, gens)
+        b0, b1 = params.potential_matrices(0.5, x)
+        for got, coords in ((b0, c0), (b1, c1)):
+            want = np.einsum("...k,kij->...ij", coords, gens.gens)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14
+        if shapes[0] != shapes[1]:
+            # different shapes are assembled one by one, as before
+            assert np.array_equal(b0, gens.assemble(c0))
+            assert np.array_equal(b1, gens.assemble(c1))
+
+    def test_spinor_symbols_are_cached_read_only_and_per_grid_and_dim(self):
+        grids = [dr.SpectralGrid(32, -8.0, 0.5), dr.SpectralGrid(32, -8.0, 0.5),
+                 dr.SpectralGrid(33, -8.0, 0.5), dr.SpectralGrid(32, -8.0, 0.25)]
+        seen = []
+        for grid in grids:
+            for dim in (1, 2, 3):
+                ik, sign = grid.spinor_symbols(dim)
+                assert grid.spinor_symbols(dim)[0] is ik and grid.spinor_symbols(dim)[1] is sign
+                assert ik.shape == sign.shape == (grid.n_points, 2 * dim)
+                assert np.array_equal(ik, np.repeat(reference_symbol(grid)[:, None], 2 * dim, axis=1))
+                assert np.array_equal(sign, np.tile(np.repeat((1.0, -1.0), dim), (grid.n_points, 1)))
+                for a in (ik, sign):
+                    assert not a.flags.writeable
+                    with pytest.raises(ValueError):
+                        a[0, 0] = 5.0
+                    assert not any(np.shares_memory(a, b) for b in seen)
+                    seen.append(a)

@@ -97,6 +97,21 @@ class TestGaugeField:
         with pytest.raises(ValueError):
             f.P(0)
 
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_non_unitary_slice_is_a_unitarity_error(self, uniform):
+        # an invariant failure, told apart from config errors (still a ValueError)
+        spec = small_spec()
+        good = np.broadcast_to(np.eye(2, dtype=complex), (spec.n_sites, 2, 2))
+        bad = 1.01 * (good if uniform else np.array(good))
+        f = lat.GaugeField(spec, 2, lambda j: (good, bad))
+        with pytest.raises(un.UnitarityError, match=r"^Q slice j=0 not unitary"):
+            f.Q(0)
+        nan = np.array(good)
+        nan[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite P entry") as info:
+            lat.GaugeField(spec, 2, lambda j: (nan, good)).P(0)
+        assert not isinstance(info.value, un.UnitarityError)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 10_000))
     def test_uniform_slice_is_a_read_only_view_of_one_matrix(self, dim, seed):
