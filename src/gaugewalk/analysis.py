@@ -46,7 +46,6 @@ def mean_position(site_probabilities: np.ndarray, positions: np.ndarray,
 class ConvergenceSeries:
     epsilons: np.ndarray
     deltas: np.ndarray
-    component_tag: str = ""
 
     def __post_init__(self):
         eps = np.asarray(self.epsilons, dtype=float)

@@ -2,15 +2,16 @@
 pseudo-spectral in space, second-order Runge-Kutta in time.
 
 A SpinorField holds either point values on the grid or their DFT
-coefficients (its `spectral` flag).  When the gauge potential is uniform in x
-the derivative and the potential both act mode by mode, so `solve` marches
-the Fourier coefficients and needs no FFT per step; x-dependent potentials
-are marched in x space.
+coefficients (its `spectral` flag).  `solve` always marches the
+coefficients.  The gauge potential may be uniform in x or given per point,
+and may change between the two at any t: a uniform potential acts mode by
+mode and needs no FFT per step, a per-point one acts on point values, with
+one FFT out and one back per right-hand side.
 
 Each grid keeps, once per N, the derivative symbol ik and the chirality sign
 (+1 on psi^-, -1 on psi^+) tiled to a spinor's (n, 2N) shape
 (`SpectralGrid.spinor_symbols`), so the per-step products run over whole
-contiguous arrays instead of broadcasting an (n,) or (2N,) factor."""
+contiguous arrays."""
 
 from __future__ import annotations
 
@@ -63,15 +64,11 @@ class SpectralGrid:
     def wavenumbers(self) -> np.ndarray:
         return 2 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
 
-    def derivative_symbol(self) -> np.ndarray:
-        """ik per mode, with the (even-n) Nyquist mode's derivative zeroed;
-        one read-only array per grid."""
-        return self._symbol
-
     def spinor_symbols(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
         """(ik, sign) tiled to the (n_points, 2 dim) shape of a spinor field:
-        derivative_symbol in every column, and +1 on the psi^- columns, -1 on
-        the psi^+ ones.  Read-only, built once per grid and dim."""
+        ik per mode in every column, with the (even-n) Nyquist mode's
+        derivative zeroed, and +1 on the psi^- columns, -1 on the psi^+ ones.
+        Read-only, built once per grid and dim."""
         pair = self._tiled.get(dim)
         if pair is None:
             ik = np.repeat(self._symbol[:, None], 2 * dim, axis=1)
@@ -131,17 +128,6 @@ class SpinorField:
             return self
         return SpinorField(self.grid, self.dim, np.fft.ifft(self.values, axis=0))
 
-    @property
-    def psi_minus(self) -> np.ndarray:
-        return self.values[:, : self.dim]
-
-    @property
-    def psi_plus(self) -> np.ndarray:
-        return self.values[:, self.dim :]
-
-    def site_probabilities(self) -> np.ndarray:
-        return np.sum(np.abs(self.to_physical().values) ** 2, axis=1)
-
 
 def spectral_derivative(f: SpinorField) -> SpinorField:
     """Componentwise d/dx in f's representation: multiply the coefficients
@@ -155,7 +141,8 @@ def spectral_derivative(f: SpinorField) -> SpinorField:
 class DiracParams:
     """mass plus coordinate functions b0, b1: (t, x-array) -> coordinates of
     the gauge potential in the generator basis, checked by
-    lattice.sample_potential; (count,) means uniform in x."""
+    lattice.sample_potential; (count,) means uniform in x, (n, count) one
+    per point, and the shape may change with t."""
 
     mass: float
     b0: object
@@ -165,11 +152,6 @@ class DiracParams:
     def __post_init__(self):
         if self.mass < 0:
             raise ValueError("mass must be >= 0")
-
-    def uniform_in_x(self, x: np.ndarray) -> bool:
-        """True if both coordinate functions return one coordinate vector
-        rather than one per point (probed at t = 0)."""
-        return all(sample_potential(fn, 0.0, x, len(self.gens)).ndim == 1 for fn in (self.b0, self.b1))
 
     def potential_matrices(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(B0, B1) at time t: one matrix each for a uniform sample, one per
@@ -204,17 +186,18 @@ def dirac_rhs(f: SpinorField, params: DiracParams, t: float) -> SpinorField:
     """d/dt Psi with
        d0 psi^- = +d1 psi^- + i (B0 - B1) psi^- - i m psi^+
        d0 psi^+ = -d1 psi^+ + i (B0 + B1) psi^+ - i m psi^-,
-    in f's representation; an x-dependent potential needs an x-space f."""
+    in f's representation."""
     if f.dim != params.gens.dim:
         raise DimensionError("field and generator dimensions disagree")
     d = spectral_derivative(f)
     c = coupling_matrix(*params.potential_matrices(t, f.grid.positions()), params.mass)
     if c.ndim == 2:
         out = f.values @ c.T
-    elif f.spectral:
-        raise DimensionError("an x-dependent potential cannot act on a spectral field")
     else:
-        out = np.einsum("pij,pj->pi", c, f.values)
+        # a per-point coupling multiplies point values
+        out = np.einsum("pij,pj->pi", c, f.to_physical().values)
+        if f.spectral:
+            out = np.fft.fft(out, axis=0)
     # signed in place: a field-sized temporary per call costs page faults
     # on large grids
     dv = d.values
@@ -237,13 +220,10 @@ def rk2_step(f: SpinorField, params: DiracParams, t: float, dt: float) -> Spinor
     return SpinorField(f.grid, f.dim, k2, f.spectral)
 
 
-def free_hamiltonian(k: float, m: float) -> np.ndarray:
-    """H(k) = [[-k, m], [m, k]] acting on (psi^-, psi^+) plane-wave amplitudes."""
-    return np.array([[-k, m], [m, k]], dtype=complex)
-
-
 def u_plus(k: float, m: float) -> np.ndarray:
-    """Positive-energy eigenvector of H(k): (E - k, m) normalized, E = sqrt(k^2 + m^2)."""
+    """Positive-energy eigenvector of the plane-wave Hamiltonian
+    H(k) = [[-k, m], [m, k]] on (psi^-, psi^+): (E - k, m) normalized,
+    E = sqrt(k^2 + m^2)."""
     if m <= 0:
         raise ValueError("u_plus requires m > 0")
     e = np.sqrt(k * k + m * m)
@@ -281,28 +261,18 @@ def solve(initial: SpinorField, params: DiracParams, t_max: float, dt: float,
     """March with rk2_step from t = 0 to t_max (last step shortened to land
     exactly on t_max); aborts with NumericalAbort on non-finite values.
 
-    When both coordinate functions are uniform in x, the march runs on the
-    Fourier coefficients: the FFT is linear and commutes with the uniform
-    potential and mass terms, so this is the same RK2 up to rounding, with
-    one transform in and one out instead of two pairs per step.  The
-    observer and the caller always receive x-space fields.
-
-    Each step reads ik and the psi^+ sign from the grid's cached tiled
-    arrays (built on the first step for this grid and N) and assembles B0
-    and B1 in one call.  Those multiply the same numbers as broadcasting
-    ik over the 2N columns and the sign over the n points, so the scheme
-    and its arithmetic are unchanged; only for N >= 3 can the joint
-    assemble round B0 and B1 differently, in the last bit, from one
-    assemble each."""
+    The march runs on the Fourier coefficients, with one transform in and
+    one out.  The potential may be uniform in x or per point at any t (see
+    dirac_rhs).  The observer and the caller always receive x-space
+    fields."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    spectral = params.uniform_in_x(initial.grid.positions())
     f, t = initial, 0.0
     while t < t_max - 1e-12:
         h = min(dt, t_max - t)
-        f = rk2_step(f.to_spectral() if spectral else f, params, t, h)
+        f = rk2_step(f.to_spectral(), params, t, h)
         t += h
         if not np.isfinite(f.values).all():
             raise NumericalAbort(t)

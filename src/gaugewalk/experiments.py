@@ -84,7 +84,9 @@ class ExperimentConfig:
             # the slope fit needs three distinct lattice steps
             if len(self.epsilons) < 3 or len(set(self.epsilons)) != len(self.epsilons):
                 raise ConfigError("convergence needs at least 3 distinct epsilons")
-        walked = {"convergence": self.epsilons, "evolve": (self.epsilon,), "trajectory": (self.epsilon,)}
+        elif self.experiment in ("evolve", "trajectory") and not self.epsilons:
+            raise ConfigError(f"the {self.experiment} experiment walks at epsilons[0]; epsilons must not be empty")
+        walked = {"convergence": self.epsilons, "evolve": self.epsilons[:1], "trajectory": self.epsilons[:1]}
         for eps in walked.get(self.experiment, ()):
             # the packet's wavenumber support must fit under the lattice Nyquist
             if abs(self.k0) + 4 * self.sigma > np.pi / eps:
@@ -115,7 +117,7 @@ class ExperimentConfig:
     @property
     def epsilon(self) -> float:
         """The lattice step of a single-walk run (evolve, trajectory)."""
-        return self.epsilons[0] if self.epsilons else 0.1
+        return self.epsilons[0]
 
     def safe_zone(self) -> float:
         """Largest |mean position| the trajectory run accepts: the domain
@@ -156,7 +158,7 @@ def _shared_initial_condition(cfg: ExperimentConfig, spec: lattice.LatticeSpec):
     color = np.ones(cfg.dim) / np.sqrt(cfg.dim)
     packet = dirac.gaussian_packet(cfg.k0, cfg.sigma, color, grid, cfg.mass)
     state = walker.WalkState(spec, cfg.dim, 0, packet.values.copy())
-    return grid, packet, state
+    return packet, state
 
 
 def _output_dir(cfg: ExperimentConfig) -> Path:
@@ -187,12 +189,13 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
 
     def leg(eps: float) -> tuple[float, float]:
         spec = _lattice_for(cfg, eps)
-        _, packet, state = _shared_initial_condition(cfg, spec)
+        packet, state = _shared_initial_condition(cfg, spec)
         field_ = lattice.GaugeField.from_potentials(b0, b1, spec, gens)
         state = walker.evolve(state, field_, _walk_config(cfg, eps), int(round(cfg.t_max / eps)))
         ref = dirac.solve(packet, params, cfg.t_max, dt=min(cfg.dirac_dt, eps))
-        d_re = analysis.relative_difference(ref.psi_minus, state.psi_minus, eps, np.real)
-        d_im = analysis.relative_difference(ref.psi_minus, state.psi_minus, eps, np.imag)
+        ref_minus = ref.values[:, :cfg.dim]
+        d_re = analysis.relative_difference(ref_minus, state.psi_minus, eps, np.real)
+        d_im = analysis.relative_difference(ref_minus, state.psi_minus, eps, np.imag)
         return d_re, d_im
 
     eps_sorted = sorted(cfg.epsilons, reverse=True)
@@ -201,8 +204,8 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
     deltas_re = np.array([r[0] for r in results])
     deltas_im = np.array([r[1] for r in results])
     eps_arr = np.array(eps_sorted)
-    series_re = analysis.ConvergenceSeries(eps_arr, deltas_re, "re_psi_minus")
-    series_im = analysis.ConvergenceSeries(eps_arr, deltas_im, "im_psi_minus")
+    series_re = analysis.ConvergenceSeries(eps_arr, deltas_re)
+    series_im = analysis.ConvergenceSeries(eps_arr, deltas_im)
     slope_re, r2_re = analysis.fit_loglog_slope(series_re)
     slope_im, r2_im = analysis.fit_loglog_slope(series_im)
 
@@ -239,7 +242,7 @@ def run_trajectory(cfg: ExperimentConfig) -> dict:
     spec = _lattice_for(cfg, eps)
     gens = unitary.generators_u(2)
     field_ = lattice.GaugeField.from_potentials(*su2_electric_potentials(cfg.e_ym), spec, gens)
-    _, _, state = _shared_initial_condition(cfg, spec)
+    _, state = _shared_initial_condition(cfg, spec)
 
     positions = spec.positions()
     x0 = analysis.mean_position(state.site_probabilities(), positions, eps)
@@ -399,7 +402,7 @@ def run_evolve(cfg: ExperimentConfig) -> dict:
     spec = _lattice_for(cfg, eps)
     gens = unitary.generators_u(2)
     field_ = lattice.GaugeField.from_potentials(*su2_electric_potentials(cfg.e_ym), spec, gens)
-    _, _, state = _shared_initial_condition(cfg, spec)
+    _, state = _shared_initial_condition(cfg, spec)
     pi0 = walker.total_probability(state)
     state = walker.evolve(state, field_, _walk_config(cfg, eps), int(round(cfg.t_max / eps)))
     drift = abs(walker.total_probability(state) - pi0)

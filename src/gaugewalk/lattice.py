@@ -82,7 +82,7 @@ def _validate_slice(arr: np.ndarray, spec: LatticeSpec, dim: int, j: int, what: 
     if not defect <= CONSTRUCTION_TOL:
         if not np.isfinite(distinct).all():
             bad = np.argwhere(~np.isfinite(distinct))[0]
-            raise ValueError(f"non-finite {what} entry at j={j}, p={int(bad[0]) - spec.p_max}")
+            raise UnitarityError(f"non-finite {what} entry at j={j}, p={int(bad[0]) - spec.p_max}")
         raise UnitarityError(f"{what} slice j={j} not unitary (defect {defect:.2e})")
     arr.setflags(write=False)
     return arr
@@ -183,10 +183,6 @@ class GaugeField:
         _check_time_index(self.spec, j)
         return self._slices(j)[1]
 
-    def at(self, j: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-        i = self.spec.site_index(p)
-        return self.P(j)[i], self.Q(j)[i]
-
 
 class GaugeTransformation:
     """A lattice of U(N) matrices G_{j,p}."""
@@ -195,11 +191,6 @@ class GaugeTransformation:
         self.spec = spec
         self.dim = dim
         self._slices = functools.lru_cache(SLICE_CACHE)(lambda j: _validate_slice(slice_fn(j), spec, dim, j, "G"))
-
-    @classmethod
-    def identity(cls, spec: LatticeSpec, dim: int) -> "GaugeTransformation":
-        eye = np.broadcast_to(np.eye(dim, dtype=complex), (spec.n_sites, dim, dim))
-        return cls(spec, dim, lambda j: eye)
 
     @classmethod
     def random(cls, spec: LatticeSpec, dim: int, seed: int, scale: float = 1.0) -> "GaugeTransformation":
@@ -213,12 +204,6 @@ class GaugeTransformation:
         if not 0 <= j <= self.spec.j_max + 1:
             raise SiteRangeError(f"time index {j} outside [0, {self.spec.j_max + 1}]")
         return self._slices(j)
-
-    def at(self, j: int, p: int) -> np.ndarray:
-        return self.G(j)[self.spec.site_index(p)]
-
-    def inverse(self) -> "GaugeTransformation":
-        return GaugeTransformation(self.spec, self.dim, lambda j: np.swapaxes(self.G(j).conj(), -1, -2))
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
@@ -241,24 +226,15 @@ def transform_potentials(field_: GaugeField, g: GaugeTransformation) -> GaugeFie
     return GaugeField(field_.spec, field_.dim, build)
 
 
-def holonomy_u_slice(field_: GaugeField, j: int) -> np.ndarray:
-    """U_{j,p} = Q†_{j,p} P_{j,p} for every p on slice j."""
-    return _dagger(field_.Q(j)) @ field_.P(j)
+def holonomy_u(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """U_{j,p} = Q†_{j,p} P_{j,p} at every site, from slice j's P and Q."""
+    return _dagger(q) @ p
 
 
-def holonomy_v_slice(field_: GaugeField, j: int) -> np.ndarray:
-    """V_{j,p} = Q_{j,p} P_{j-1,p-1} for every p on slice j (needs slice j-1)."""
-    if j < 1:
-        raise SiteRangeError("V needs slice j-1; j must be >= 1")
-    return field_.Q(j) @ np.roll(field_.P(j - 1), 1, axis=0)
-
-
-def holonomy_u(field_: GaugeField, j: int, p: int) -> np.ndarray:
-    return holonomy_u_slice(field_, j)[field_.spec.site_index(p)]
-
-
-def holonomy_v(field_: GaugeField, j: int, p: int) -> np.ndarray:
-    return holonomy_v_slice(field_, j)[field_.spec.site_index(p)]
+def holonomy_v(q: np.ndarray, p_prev: np.ndarray) -> np.ndarray:
+    """V_{j,p} = Q_{j,p} P_{j-1,p-1} at every site, from Q on slice j and P
+    on slice j-1."""
+    return q @ np.roll(p_prev, 1, axis=0)
 
 
 def _around(field_: GaugeField, j: int) -> list:
@@ -270,12 +246,11 @@ def _around(field_: GaugeField, j: int) -> list:
 
 def _curvature(pq) -> np.ndarray:
     """F_{j,p} = U†_{j-1,p} V†_{j,p-1} U_{j+1,p} V_{j,p+1} for every p, from
-    pq[k] = (P, Q) on slices j-1, j, j+1 (k = 0, 1, 2), with U = Q† P and
-    V_{j,p} = Q_{j,p} P_{j-1,p-1}."""
+    pq[k] = (P, Q) on slices j-1, j, j+1 (k = 0, 1, 2)."""
     (p_prev, q_prev), (_, q_here), (p_next, q_next) = pq
-    u_prev = _dagger(q_prev) @ p_prev
-    u_next = _dagger(q_next) @ p_next
-    v_here = q_here @ np.roll(p_prev, 1, axis=0)
+    u_prev = holonomy_u(p_prev, q_prev)
+    u_next = holonomy_u(p_next, q_next)
+    v_here = holonomy_v(q_here, p_prev)
     v_left = np.roll(v_here, 1, axis=0)   # V_{j,p-1} at index of p
     v_right = np.roll(v_here, -1, axis=0)  # V_{j,p+1}
     return _dagger(u_prev) @ _dagger(v_left) @ u_next @ v_right
@@ -296,26 +271,20 @@ def curvature_gauge_conjugator(g: GaugeTransformation, j: int, p: int) -> np.nda
     F'_{j,p} = G_{j-1,p+1} F_{j,p} G^-1_{j-1,p+1}."""
     if j < 1:
         raise SiteRangeError("conjugator needs slice j-1")
-    return g.at(j - 1, p + 1)
+    return g.G(j - 1)[g.spec.site_index(p + 1)]
 
 
-def continuous_curvature(b0, b1, gens: GeneratorSet, t: float, x: float, h: float = 1e-5,
-                         db0=None, db1=None) -> np.ndarray:
-    """F_10 = d_1 B_0 - d_0 B_1 - i [B_1, B_0] with B_mu = sum_k b^k_mu tau_k.
-    Derivatives are central differences of step h unless analytic derivative
-    callables (db0, db1) -> (d/dt, d/dx) coordinate pairs are supplied."""
+def continuous_curvature(b0, b1, gens: GeneratorSet, t: float, x: float, h: float = 1e-5) -> np.ndarray:
+    """F_10 = d_1 B_0 - d_0 B_1 - i [B_1, B_0] with B_mu = sum_k b^k_mu tau_k,
+    the derivatives taken as central differences of step h."""
     if h <= 0:
         raise ValueError("h must be positive")
 
     def mat(fn, tt, xx):
         return gens.assemble(np.asarray(fn(tt, xx), dtype=float))
 
-    if db0 is not None and db1 is not None:
-        d1_b0 = gens.assemble(np.asarray(db0(t, x)[1], dtype=float))
-        d0_b1 = gens.assemble(np.asarray(db1(t, x)[0], dtype=float))
-    else:
-        d1_b0 = (mat(b0, t, x + h) - mat(b0, t, x - h)) / (2 * h)
-        d0_b1 = (mat(b1, t + h, x) - mat(b1, t - h, x)) / (2 * h)
+    d1_b0 = (mat(b0, t, x + h) - mat(b0, t, x - h)) / (2 * h)
+    d0_b1 = (mat(b1, t + h, x) - mat(b1, t - h, x)) / (2 * h)
     b1m = mat(b1, t, x)
     b0m = mat(b0, t, x)
     out = d1_b0 - d0_b1 - 1j * (b1m @ b0m - b0m @ b1m)

@@ -36,12 +36,6 @@ def unitarity_defect(m: np.ndarray) -> float:
     return float(np.abs(gram).max())
 
 
-def is_unitary(m: np.ndarray, tol: float = CONSTRUCTION_TOL) -> bool:
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return unitarity_defect(m) <= tol
-
-
 def gell_mann(n: int) -> np.ndarray:
     """The N^2 - 1 generalized Gell-Mann matrices (traceless Hermitian,
     HS-orthogonal with Tr(g_i g_j) = 2 delta_ij).  For n = 2 these are the
@@ -183,20 +177,3 @@ def factorize(m: np.ndarray, tol: float = INPUT_TOL) -> FactorResult:
     if m.ndim == 2:
         return FactorResult(complex(delta), m / delta, bool(branch))
     return FactorResult(delta, m / delta[..., None, None], branch)
-
-
-def su2_closed_form(v: np.ndarray) -> np.ndarray:
-    """exp(i v . sigma / 2) = cos(|v|/2) 1 + i sin(|v|/2) vhat . sigma."""
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return np.eye(2, dtype=complex)
-    vhat = v / norm
-    sigma_v = vhat[0] * SIGMA_1 + vhat[1] * SIGMA_2 + vhat[2] * SIGMA_3
-    return np.cos(norm / 2) * np.eye(2) + 1j * np.sin(norm / 2) * sigma_v
-
-
-def random_unitary(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Random element of U(N) from Gaussian Lie-algebra coordinates."""
-    gens = generators_u(n)
-    return exp_map(scale * rng.standard_normal(len(gens)), gens)

@@ -22,6 +22,7 @@ from gaugewalk import experiments as ex
 from gaugewalk import lattice as lat
 from gaugewalk import unitary as un
 from gaugewalk import walker as wk
+from references import su2_closed_form
 
 
 def report(name, passed, detail):
@@ -214,15 +215,16 @@ def test_criterion_07b_trajectory_packet_at_rest(tmp_path):
 
 
 def test_criterion_08_plane_wave_spinors():
-    """u_+(k) satisfies H(k) u = E u to 1e-12 for 1000 wavenumbers and
-    m in {0.05, 0.1, 1.0}."""
+    """u_+(k) satisfies H(k) u = E u, with H(k) = [[-k, m], [m, k]] on
+    (psi^-, psi^+), to 1e-12 for 1000 wavenumbers and m in {0.05, 0.1, 1.0}."""
     worst = 0.0
     ks = np.linspace(-10.0, 10.0, 1000)
     for m in (0.05, 0.1, 1.0):
         for k in ks:
             u = dr.u_plus(float(k), m)
             e = np.sqrt(k * k + m * m)
-            worst = max(worst, float(np.max(np.abs(dr.free_hamiltonian(float(k), m) @ u - e * u))))
+            h = np.array([[-k, m], [m, k]], dtype=complex)
+            worst = max(worst, float(np.max(np.abs(h @ u - e * u))))
     ok = worst <= 1e-12
     report("criterion-08 plane-wave spinors", ok, f"max residual {worst:.2e} (tol 1e-12)")
     assert worst <= 1e-12
@@ -245,7 +247,7 @@ def test_criterion_10_numerical_kernels():
     worst = 0.0
     for _ in range(200):
         v = rng.uniform(-8, 8, size=3)
-        worst = max(worst, float(np.max(np.abs(un.exp_map(v, gens) - un.su2_closed_form(v)))))
+        worst = max(worst, float(np.max(np.abs(un.exp_map(v, gens) - su2_closed_form(v)))))
 
     # RK2 on a free Dirac plane-wave mode with a known phase evolution
     grid = dr.SpectralGrid(64, -3.2, 0.1)

@@ -173,6 +173,14 @@ class TestCliExitCodes:
         assert report["passed"]
         assert all(v <= 1e-10 for v in report["residuals"].values())
 
+    @pytest.mark.parametrize("experiment", ["gauge-check", "curvature-check"])
+    def test_checks_run_with_an_empty_epsilon_list(self, tmp_path, capsys, experiment):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"epsilons": []}))
+        rc = cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
     def test_convergence_under_resolution_is_exit_1(self, no_compute, capsys):
         # k0 + 4 sigma beyond the lattice Nyquist must be refused up front:
         # 4 sigma = 12 exceeds pi / 0.4 ~ 7.9 on the coarsest leg
@@ -196,6 +204,16 @@ def test_report_failures_maps_cause_to_exit_code(exc, code, prefix, capsys):
 
     assert cli.report_failures(run) == code
     assert capsys.readouterr().err == prefix + "\n"
+
+
+def test_non_finite_slice_is_an_invariant_violation(capsys):
+    spec = lat.LatticeSpec(0.1, 5, 8)
+    good = np.broadcast_to(np.eye(2, dtype=complex), (spec.n_sites, 2, 2))
+    nan = np.array(good)
+    nan[1, 0, 0] = np.nan
+    f = lat.GaugeField(spec, 2, lambda j: (nan, good))
+    assert cli.report_failures(lambda: f.P(0)) == 2
+    assert capsys.readouterr().err == f"invariant violation: non-finite P entry at j=0, p={1 - spec.p_max}\n"
 
 
 @pytest.fixture
@@ -225,6 +243,17 @@ class TestValidationBeforeCompute:
             (tmp_path / "c.json").write_text(json.dumps({"epsilons": []}))
         assert cli.main(argv) == 1
         assert "3 distinct epsilons" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("experiment", ["evolve", "trajectory"])
+    def test_walk_needs_an_epsilon(self, no_compute, tmp_path, capsys, experiment):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"epsilons": []}))
+        rc = cli.main([experiment, "--config", str(path), "--x-max", "30", "--t-max", "2",
+                       "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "epsilons must not be empty" in err
         assert not (tmp_path / "run").exists()
 
     def test_trajectory_without_safe_zone(self, no_compute, tmp_path, capsys):

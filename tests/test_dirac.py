@@ -21,6 +21,11 @@ def grid64():
     return dr.SpectralGrid(64, -3.2, 0.1)
 
 
+def plane_wave_hamiltonian(k, m):
+    """H(k) = [[-k, m], [m, k]] on the (psi^-, psi^+) amplitudes of e^{ikx}."""
+    return np.array([[-k, m], [m, k]], dtype=complex)
+
+
 class TestSpectralGrid:
     def test_from_lattice_shares_sites(self):
         spec = lat.LatticeSpec(0.25, 6, 4)
@@ -36,7 +41,7 @@ class TestSpectralGrid:
 
     def test_nyquist_derivative_zeroed(self):
         grid = grid64()
-        sym = grid.derivative_symbol()
+        sym = grid.spinor_symbols(1)[0][:, 0]
         assert sym[32] == 0.0
         assert sym[1] == pytest.approx(1j * 2 * np.pi / grid.length)
 
@@ -74,7 +79,7 @@ class TestDiracRhs:
         vals = np.exp(1j * k * grid.positions())[:, None] * v
         f = dr.SpinorField(grid, 1, vals)
         rhs = dr.dirac_rhs(f, free_params(dim=1, mass=m), 0.0)
-        want = vals @ (-1j * dr.free_hamiltonian(k, m)).T
+        want = vals @ (-1j * plane_wave_hamiltonian(k, m)).T
         assert np.max(np.abs(rhs.values - want)) <= 1e-11
 
     def test_potential_coupling(self):
@@ -90,10 +95,10 @@ class TestDiracRhs:
         rhs = dr.dirac_rhs(f, params, 0.0)
         d = dr.spectral_derivative(f)
         b0, b1 = gens.assemble(c0), gens.assemble(c1)
-        want_minus = d.psi_minus + 1j * f.psi_minus @ (b0 - b1).T
-        want_plus = -d.psi_plus + 1j * f.psi_plus @ (b0 + b1).T
-        assert np.max(np.abs(rhs.psi_minus - want_minus)) <= 1e-12
-        assert np.max(np.abs(rhs.psi_plus - want_plus)) <= 1e-12
+        want_minus = d.values[:, :2] + 1j * f.values[:, :2] @ (b0 - b1).T
+        want_plus = -d.values[:, 2:] + 1j * f.values[:, 2:] @ (b0 + b1).T
+        assert np.max(np.abs(rhs.values[:, :2] - want_minus)) <= 1e-12
+        assert np.max(np.abs(rhs.values[:, 2:] - want_plus)) <= 1e-12
 
     def test_dimension_check(self):
         grid = grid64()
@@ -118,8 +123,6 @@ class TestPotentialSamples:
         params = dr.DiracParams(0.1, ok, bad, un.generators_u(dim)) if in_b1 else \
             dr.DiracParams(0.1, bad, ok, un.generators_u(dim))
         x = grid.positions()
-        with pytest.raises(un.DimensionError):
-            params.uniform_in_x(x)
         with pytest.raises(un.DimensionError):
             params.potential_matrices(0.5, x)
         with pytest.raises(un.DimensionError):
@@ -177,7 +180,7 @@ class TestPlaneWaveSpinors:
             m = 0.1
             u = dr.u_plus(k, m)
             e = np.sqrt(k * k + m * m)
-            assert np.max(np.abs(dr.free_hamiltonian(k, m) @ u - e * u)) <= 1e-12
+            assert np.max(np.abs(plane_wave_hamiltonian(k, m) @ u - e * u)) <= 1e-12
             assert np.linalg.norm(u) == pytest.approx(1.0)
 
     def test_u_plus_needs_mass(self):
@@ -206,8 +209,8 @@ class TestGaussianPacket:
         t_final = 4.0
         out = dr.solve(pk, free_params(dim=1, mass=m), t_final, 0.002)
         x = grid.positions()
-        mean0 = np.sum(x * pk.site_probabilities()) * grid.dx
-        mean1 = np.sum(x * out.site_probabilities()) * grid.dx
+        mean0 = np.sum(x[:, None] * np.abs(pk.values) ** 2) * grid.dx
+        mean1 = np.sum(x[:, None] * np.abs(out.values) ** 2) * grid.dx
         vg = k0 / np.sqrt(k0 * k0 + m * m)
         # the packet-averaged velocity differs from vg(k0) by a spread
         # correction of order sigma^2 * vg''
@@ -285,8 +288,7 @@ def random_uniform_params(dim, seed, mass=0.3):
 
 
 def broadcast_params(params, n_points):
-    """The same potential handed over as one coordinate vector per point, so
-    solve takes the x-space path."""
+    """The same potential handed over as one coordinate vector per point."""
     def per_point(fn):
         return lambda t, x: np.broadcast_to(fn(t, x), (n_points, len(params.gens.gens)))
 
@@ -316,7 +318,6 @@ class TestSpectralMarch:
         grid = dr.SpectralGrid(n_points, -0.25 * n_points, 0.5)
         params = random_uniform_params(dim, seed)
         f = random_field(grid, dim, seed + 1)
-        assert params.uniform_in_x(grid.positions())
         want = x_space_march(f, params, 0.53, 0.02)
         got = dr.solve(f, params, 0.53, 0.02)
         assert not got.spectral
@@ -336,11 +337,10 @@ class TestSpectralMarch:
 
     @settings(max_examples=15, deadline=None)
     @given(st.sampled_from([1, 2, 3]), st.integers(8, 41), st.integers(0, 10_000))
-    def test_per_point_potential_takes_x_space_path(self, dim, n_points, seed):
+    def test_per_point_potential_matches_uniform_solve(self, dim, n_points, seed):
         grid = dr.SpectralGrid(n_points, -0.25 * n_points, 0.5)
         params = random_uniform_params(dim, seed)
         per_point = broadcast_params(params, n_points)
-        assert not per_point.uniform_in_x(grid.positions())
         f = random_field(grid, dim, seed + 1)
         got = dr.solve(f, per_point, 0.3, 0.02)
         want = dr.solve(f, params, 0.3, 0.02)
@@ -357,17 +357,33 @@ class TestSpectralMarch:
         one = x_space_march(f, params, 0.01, 0.01)
         assert np.max(np.abs(seen[0][1].values - one.values)) <= 1e-13
 
-    def test_spectral_field_rejects_x_dependent_potential(self):
-        grid = grid64()
-        gens = un.generators_u(1)
-        params = dr.DiracParams(0.1, lambda t, x: np.sin(x)[:, None], lambda t, x: np.zeros(1), gens)
-        f = random_field(grid, 1, seed=2).to_spectral()
-        with pytest.raises(un.DimensionError):
-            dr.dirac_rhs(f, params, 0.0)
-        with pytest.raises(un.DimensionError):
-            dr.solve(f, params, 0.1, 0.01)
-        # the x-space field is marched as before
-        assert np.all(np.isfinite(dr.solve(f.to_physical(), params, 0.1, 0.01).values))
+    @pytest.mark.parametrize("n_points", [33, 64])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_per_point_rhs_on_spectral_field_equals_x_space_rhs(self, dim, n_points):
+        grid = dr.SpectralGrid(n_points, -0.25 * n_points, 0.5)
+        gens = un.generators_u(dim)
+        coef = np.random.default_rng(dim).normal(0, 0.5, (2, len(gens)))
+        params = dr.DiracParams(0.3, lambda t, x: np.sin(x)[:, None] * coef[0],
+                                lambda t, x: np.cos(0.5 * x + t)[:, None] * coef[1], gens)
+        f = random_field(grid, dim, seed=n_points)
+        got = dr.dirac_rhs(f.to_spectral(), params, 0.4)
+        want = dr.dirac_rhs(f, params, 0.4).to_spectral()
+        assert got.spectral
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13
+
+    @pytest.mark.parametrize("n_points", [31, 32])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_potential_per_point_only_after_t0_solves(self, dim, n_points):
+        # uniform at t = 0, one coordinate vector per point afterwards
+        grid = dr.SpectralGrid(n_points, -0.25 * n_points, 0.5)
+        params = random_uniform_params(dim, seed=dim)
+        per_point = broadcast_params(params, n_points)
+        later = dr.DiracParams(params.mass, params.b0,
+                               lambda t, x: per_point.b1(t, x) if t > 0 else params.b1(t, x), params.gens)
+        f = random_field(grid, dim, seed=n_points)
+        got = dr.solve(f, later, 0.3, 0.02)
+        want = dr.solve(f, params, 0.3, 0.02)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13
 
     def test_round_trip(self):
         f = random_field(grid64(), 2, seed=6)
@@ -375,7 +391,7 @@ class TestSpectralMarch:
         assert spec.spectral and spec.to_spectral() is spec
         assert f.to_physical() is f
         assert np.max(np.abs(spec.to_physical().values - f.values)) <= 1e-14
-        assert np.allclose(spec.site_probabilities(), f.site_probabilities(), atol=1e-14)
+        assert np.allclose(np.abs(spec.to_physical().values) ** 2, np.abs(f.values) ** 2, atol=1e-14)
 
 
 # The broadcast formulas the lean kernels replaced, kept here as references:

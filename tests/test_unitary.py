@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaugewalk import unitary as un
+from references import random_unitary, su2_closed_form
 
 
 def coords_strategy(count, bound=3.0):
@@ -118,10 +119,10 @@ class TestExpMap:
     @given(coords_strategy(3, bound=10.0))
     def test_matches_su2_closed_form(self, v):
         gens = un.generators_su(2)
-        assert np.max(np.abs(un.exp_map(v, gens) - un.su2_closed_form(v))) <= 1e-12
+        assert np.max(np.abs(un.exp_map(v, gens) - su2_closed_form(v))) <= 1e-12
 
     def test_su2_closed_form_zero(self):
-        assert np.allclose(un.su2_closed_form(np.zeros(3)), np.eye(2))
+        assert np.allclose(su2_closed_form(np.zeros(3)), np.eye(2))
 
 
 class TestFactorize:
@@ -139,7 +140,7 @@ class TestFactorize:
         assert np.allclose(res.special, np.eye(2))
 
     def test_special_input_passthrough(self):
-        m = un.su2_closed_form(np.array([0.3, -1.1, 0.6]))
+        m = su2_closed_form(np.array([0.3, -1.1, 0.6]))
         res = un.factorize(m)
         assert res.delta == pytest.approx(1.0)
         assert np.allclose(res.special, m)
@@ -157,7 +158,7 @@ class TestFactorize:
     def test_recombination_and_det(self, seed):
         rng = np.random.default_rng(seed)
         for n in (1, 2, 3):
-            m = un.random_unitary(n, rng)
+            m = random_unitary(n, rng)
             res = un.factorize(m)
             assert np.max(np.abs(res.delta * res.special - m)) <= 1e-10
             assert abs(np.linalg.det(res.special) - 1) <= 1e-10
@@ -167,7 +168,7 @@ class TestFactorize:
     @given(st.integers(1, 4), st.integers(0, 10_000))
     def test_stack_matches_single_matrices(self, n, seed):
         rng = np.random.default_rng(seed)
-        stack = np.array([[un.random_unitary(n, rng) for _ in range(3)] for _ in range(2)])
+        stack = np.array([[random_unitary(n, rng) for _ in range(3)] for _ in range(2)])
         # det = -1 exactly, and det approaching -1 from below the cut
         stack[1, 2] = np.diag([-1.0] + [1.0] * (n - 1))
         stack[0, 1] = np.diag([np.exp(-1j * (np.pi - 1e-12))] + [1.0] * (n - 1))
@@ -201,13 +202,9 @@ class TestUnitarityHelpers:
         assert un.unitarity_defect(np.eye(4)) == 0.0
         assert un.unitarity_defect(2 * np.eye(2)) == pytest.approx(3.0)
 
-    def test_is_unitary_tol_check(self):
-        with pytest.raises(ValueError):
-            un.is_unitary(np.eye(2), tol=0.0)
-
     def test_random_unitary(self):
         rng = np.random.default_rng(7)
-        assert un.unitarity_defect(un.random_unitary(3, rng)) <= 1e-12
+        assert un.unitarity_defect(random_unitary(3, rng)) <= 1e-12
 
 
 def einsum_assemble(coords, gens):
@@ -282,7 +279,7 @@ class TestKernelsMatchReferences:
     @given(st.integers(1, 4), st.integers(0, 10_000), st.floats(0, 1e-3))
     def test_unitarity_defect(self, n, seed, noise):
         rng = np.random.default_rng(seed)
-        stack = np.array([un.random_unitary(n, rng) for _ in range(5)])
+        stack = np.array([random_unitary(n, rng) for _ in range(5)])
         stack += noise * rng.standard_normal(stack.shape)
         kept = stack.copy()
         for m in (stack, stack[2], np.broadcast_to(stack[0], (6, n, n)), stack.real, 3 * stack):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gaugewalk import lattice as lat
 from gaugewalk import unitary as un
 from gaugewalk import walker as wk
+from references import random_unitary, su2_closed_form
 
 
 def spec_and_identity(dim=2, eps=0.1, p_max=5, j_max=8):
@@ -49,8 +50,8 @@ SEEDS = st.integers(0, 10_000)
 
 class TestCoinMatrix:
     def test_theta_zero_block_diagonal(self):
-        p = un.su2_closed_form(np.array([0.1, 0.2, 0.3]))
-        q = un.su2_closed_form(np.array([-0.4, 0.0, 0.9]))
+        p = su2_closed_form(np.array([0.1, 0.2, 0.3]))
+        q = su2_closed_form(np.array([-0.4, 0.0, 0.9]))
         b = wk.coin_matrix(0.0, p, q)
         assert np.allclose(b[:2, :2], p)
         assert np.allclose(b[2:, 2:], q)
@@ -68,7 +69,7 @@ class TestCoinMatrix:
            st.floats(-np.pi, np.pi, allow_nan=False))
     def test_unitary(self, seed, theta):
         rng = np.random.default_rng(seed)
-        b = wk.coin_matrix(theta, un.random_unitary(2, rng), un.random_unitary(2, rng))
+        b = wk.coin_matrix(theta, random_unitary(2, rng), random_unitary(2, rng))
         assert un.unitarity_defect(b) <= 1e-12
 
     def test_shape_check(self):
@@ -84,7 +85,7 @@ class TestCoinMatrix:
     @given(DIMS, THETAS, SEEDS)
     def test_equals_block_form(self, dim, theta, seed):
         rng = np.random.default_rng(seed)
-        p, q = un.random_unitary(dim, rng), un.random_unitary(dim, rng)
+        p, q = random_unitary(dim, rng), random_unitary(dim, rng)
         assert np.array_equal(wk.coin_matrix(theta, p, q), _coin_block(theta, p, q))
 
 
@@ -144,7 +145,7 @@ def _fields(spec, dim, seed):
     from broadcast views of one matrix per slice."""
     rng = np.random.default_rng(seed)
     shape = (spec.n_sites, dim, dim)
-    p, q, g = (np.broadcast_to(un.random_unitary(dim, rng), shape) for _ in range(3))
+    p, q, g = (np.broadcast_to(random_unitary(dim, rng), shape) for _ in range(3))
     return [(lat.GaugeField.random(spec, dim, seed), lat.GaugeTransformation.random(spec, dim, seed + 1)),
             (lat.GaugeField(spec, dim, lambda j: (p, q)), lat.GaugeTransformation(spec, dim, lambda j: g))]
 
@@ -219,8 +220,8 @@ class TestUniformPath:
     def test_one_uniform_link_takes_per_site_path(self, dim, theta, seed, uniform_p):
         spec = lat.LatticeSpec(0.1, 4, 6)
         rng = np.random.default_rng(seed)
-        one = np.broadcast_to(un.random_unitary(dim, rng), (spec.n_sites, dim, dim))
-        sites = np.array([un.random_unitary(dim, rng) for _ in range(spec.n_sites)])
+        one = np.broadcast_to(random_unitary(dim, rng), (spec.n_sites, dim, dim))
+        sites = np.array([random_unitary(dim, rng) for _ in range(spec.n_sites)])
         p, q = (one, sites) if uniform_p else (sites, one)
         field = lat.GaugeField(spec, dim, lambda j: (p, q))
         state = random_state(spec, dim, seed + 1, j=2)
@@ -285,7 +286,7 @@ class TestGaugeCovariance:
     def test_mismatch_rejected(self):
         spec, _ = spec_and_identity()
         other = lat.LatticeSpec(0.2, 5, 8)
-        g = lat.GaugeTransformation.identity(other, 2)
+        g = lat.GaugeTransformation.random(other, 2, seed=0)
         state = random_state(spec, 2, seed=1)
         with pytest.raises(un.DimensionError):
             wk.gauge_transform_state(state, g)
