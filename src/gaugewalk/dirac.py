@@ -8,6 +8,11 @@ and may change between the two at any t: a uniform potential acts mode by
 mode and needs no FFT per step, a per-point one acts on point values, with
 one FFT out and one back per right-hand side.
 
+While the potential is uniform in x no two modes couple, so `solve` marches
+only the packet's Fourier band: the coefficient rows |m| <= M that hold
+every row above BAND_CUTOFF of the largest, as a grid of 2M + 1 points with
+the caller's period and x_min, whose modes are the caller's modes |m| <= M.
+
 Each grid keeps, once per N, the derivative symbol ik and the chirality sign
 (+1 on psi^-, -1 on psi^+) tiled to a spinor's (n, 2N) shape
 (`SpectralGrid.spinor_symbols`), so the per-step products run over whole
@@ -23,6 +28,10 @@ import numpy as np
 
 from .lattice import LatticeSpec, sample_potential
 from .unitary import DimensionError, GeneratorSet
+
+# coefficient rows at or below this fraction of the largest row are left out
+# of the band march (see solve)
+BAND_CUTOFF = 1e-15
 
 
 class NumericalAbort(RuntimeError):
@@ -256,26 +265,78 @@ def gaussian_packet(k0: float, sigma: float, color: np.ndarray, grid: SpectralGr
     return SpinorField(grid, dim, values / norm)
 
 
-def solve(initial: SpinorField, params: DiracParams, t_max: float, dt: float,
-          observer=None) -> SpinorField:
+class _PerPoint(Exception):
+    """A potential sample is per point: the band march has to stop."""
+
+
+def _band(full: SpinorField, params: DiracParams):
+    """The band march's start: the rows |m| <= M of the coefficients `full`
+    on a grid of 2M + 1 points with full's period and x_min, and params with
+    b0, b1 sampled on full's points.  M is the largest |m| of a row above
+    BAND_CUTOFF of the largest row, and at least 4 (a grid has 8 points or
+    more).  None when that grid would not be smaller than full's, or full is
+    not finite.  A sample other than one coordinate vector raises _PerPoint,
+    so a per-point coupling never reaches the band grid."""
+    values, n = full.values, full.grid.n_points
+    if not np.isfinite(values).all():
+        return None
+    weight = np.max(np.abs(values), axis=1)
+    rows = np.flatnonzero(weight > BAND_CUTOFF * weight.max())
+    m = max(4, int(np.max(np.minimum(rows, n - rows), initial=0)))
+    if 2 * m + 1 >= n:
+        return None
+    grid = SpectralGrid(2 * m + 1, full.grid.x_min, full.grid.length / (2 * m + 1))
+    x, count = full.grid.positions(), len(params.gens)
+
+    def on_caller_grid(fn):
+        def sample(t, _):
+            coords = np.asarray(fn(t, x), dtype=float)
+            if coords.shape != (count,):
+                raise _PerPoint
+            return coords
+        return sample
+
+    band = SpinorField(grid, full.dim, np.concatenate((values[: m + 1], values[n - m :])), True)
+    return band, DiracParams(params.mass, on_caller_grid(params.b0), on_caller_grid(params.b1),
+                             params.gens)
+
+
+def _padded(f: SpinorField, grid: SpectralGrid) -> SpinorField:
+    """Band coefficients f as coefficients on `grid`, zero outside the band."""
+    if f.grid is grid:
+        return f
+    m = f.grid.n_points // 2
+    values = np.zeros((grid.n_points, 2 * f.dim), dtype=complex)
+    values[: m + 1], values[grid.n_points - m :] = f.values[: m + 1], f.values[m + 1 :]
+    return SpinorField(grid, f.dim, values, True)
+
+
+def solve(initial: SpinorField, params: DiracParams, t_max: float, dt: float) -> SpinorField:
     """March with rk2_step from t = 0 to t_max (last step shortened to land
     exactly on t_max); aborts with NumericalAbort on non-finite values.
 
     The march runs on the Fourier coefficients, with one transform in and
-    one out.  The potential may be uniform in x or per point at any t (see
-    dirac_rhs).  The observer and the caller always receive x-space
-    fields."""
+    one out, and on the packet's band only (see _band) while the potential
+    is uniform in x.  The first per-point sample (see dirac_rhs) pads the
+    state to the caller's grid, which redoes that step and the rest.  The
+    caller receives an x-space field on its own grid."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    f, t = initial, 0.0
+    if t_max <= 1e-12:  # no step to take
+        return initial.to_physical()
+    full = initial.to_spectral()
+    f, march = _band(full, params) or (full, params)
+    t = 0.0
     while t < t_max - 1e-12:
         h = min(dt, t_max - t)
-        f = rk2_step(f.to_spectral(), params, t, h)
+        try:
+            f = rk2_step(f, march, t, h)
+        except _PerPoint:
+            f, march = _padded(f, full.grid), params
+            continue
         t += h
         if not np.isfinite(f.values).all():
             raise NumericalAbort(t)
-        if observer is not None:
-            observer(t, f.to_physical())
-    return f.to_physical()
+    return _padded(f, full.grid).to_physical()

@@ -26,15 +26,15 @@ def write_state_csv(path, positions: np.ndarray, values: np.ndarray, origin: str
     for c in range(ncomp):
         header += [f"re_{c}", f"im_{c}"]
     header += ["prob", "origin"]
+    # a complex row viewed as floats is re/im interleaved per component
+    parts = np.ascontiguousarray(values, dtype=complex).view(float)
+    prob = np.sum(np.abs(values) ** 2, axis=1)
+    rows = zip(np.asarray(positions, dtype=float).tolist(), parts.tolist(), prob.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for i in range(n):
-            row = [i - p_max, repr(float(positions[i]))]
-            for c in range(ncomp):
-                row += [repr(float(values[i, c].real)), repr(float(values[i, c].imag))]
-            row += [repr(float(np.sum(np.abs(values[i]) ** 2))), origin]
-            w.writerow(row)
+        for i, (x, comps, pr) in enumerate(rows):
+            w.writerow([i - p_max, repr(x), *map(repr, comps), repr(pr), origin])
 
 
 def write_checkpoint(path, state: WalkState) -> None:

@@ -113,14 +113,11 @@ def step(state: WalkState, field: GaugeField, config: WalkConfig) -> WalkState:
     return WalkState(state.spec, state.dim, state.j + 1, out)
 
 
-def evolve(state: WalkState, field: GaugeField, config: WalkConfig, steps: int,
-           observer=None) -> WalkState:
+def evolve(state: WalkState, field: GaugeField, config: WalkConfig, steps: int) -> WalkState:
     if steps < 0:
         raise ValueError("steps must be >= 0")
     for _ in range(steps):
         state = step(state, field, config)
-        if observer is not None:
-            observer(state)
     return state
 
 

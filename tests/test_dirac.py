@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugewalk import dirac as dr
+from gaugewalk import experiments as ex
 from gaugewalk import lattice as lat
 from gaugewalk import unitary as un
 
@@ -266,13 +267,6 @@ class TestSolve:
             with np.errstate(all="ignore"):
                 dr.solve(f, free_params(dim=1, mass=0.1), 200.0, 0.5)
 
-    def test_observer_sees_monotonic_time(self):
-        grid = grid64()
-        f = dr.SpinorField(grid, 1, np.ones((64, 2), dtype=complex))
-        times = []
-        dr.solve(f, free_params(dim=1), 0.05, 0.01, observer=lambda t, _: times.append(t))
-        assert times == pytest.approx([0.01, 0.02, 0.03, 0.04, 0.05])
-
 
 def random_uniform_params(dim, seed, mass=0.3):
     """Time-dependent coordinates, uniform in x: c(t) = a + b t + d sin(w t)."""
@@ -346,17 +340,6 @@ class TestSpectralMarch:
         want = dr.solve(f, params, 0.3, 0.02)
         assert np.max(np.abs(got.values - want.values)) <= 1e-13
 
-    def test_observer_receives_x_space_fields(self):
-        grid = grid64()
-        params = random_uniform_params(2, seed=3)
-        f = random_field(grid, 2, seed=4)
-        seen = []
-        out = dr.solve(f, params, 0.05, 0.01, observer=lambda t, g: seen.append((t, g)))
-        assert [g.spectral for _, g in seen] == [False] * 5
-        assert np.array_equal(seen[-1][1].values, out.values)
-        one = x_space_march(f, params, 0.01, 0.01)
-        assert np.max(np.abs(seen[0][1].values - one.values)) <= 1e-13
-
     @pytest.mark.parametrize("n_points", [33, 64])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_per_point_rhs_on_spectral_field_equals_x_space_rhs(self, dim, n_points):
@@ -392,6 +375,103 @@ class TestSpectralMarch:
         assert f.to_physical() is f
         assert np.max(np.abs(spec.to_physical().values - f.values)) <= 1e-14
         assert np.allclose(np.abs(spec.to_physical().values) ** 2, np.abs(f.values) ** 2, atol=1e-14)
+
+
+def marched_rows(monkeypatch):
+    """The row count of every field rk2_step is handed, in call order."""
+    rows = []
+    step = dr.rk2_step
+
+    def recording(f, *args):
+        rows.append(f.values.shape[0])
+        return step(f, *args)
+
+    monkeypatch.setattr(dr, "rk2_step", recording)
+    return rows
+
+
+def packet(dim, n_points, k0):
+    """A Gaussian packet whose band (~40 modes) is well inside the grid."""
+    grid = dr.SpectralGrid(n_points, -0.05 * n_points, 0.1)
+    color = np.arange(1, dim + 1) * np.exp(0.4j * np.arange(dim))
+    return dr.gaussian_packet(k0, 1.0, color, grid, 0.3)
+
+
+def x_dependent_after(params, t_switch):
+    """params' b1 until t_switch, then b1(t) + sin(x) times fixed coordinates."""
+    coef = np.random.default_rng(7).normal(0, 0.5, len(params.gens))
+
+    def b1(t, x):
+        c = params.b1(t, x)
+        return c if t < t_switch else c + np.sin(x)[:, None] * coef
+
+    return dr.DiracParams(params.mass, params.b0, b1, params.gens)
+
+
+class TestBandMarch:
+    @pytest.mark.parametrize("k0", [0.0, 1.0])
+    @pytest.mark.parametrize("n_points", [127, 128])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_band_march_matches_x_space_rk2(self, monkeypatch, dim, n_points, k0):
+        f = packet(dim, n_points, k0)
+        params = random_uniform_params(dim, seed=dim)
+        want = x_space_march(f, params, 0.53, 0.02)
+        rows = marched_rows(monkeypatch)
+        got = dr.solve(f, params, 0.53, 0.02)
+        assert len(rows) == 27 and max(rows) < n_points // 2
+        assert not got.spectral and got.grid is f.grid
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13
+
+    def test_nyquist_heavy_field_marches_the_whole_grid(self, monkeypatch):
+        f = packet(2, 128, 0.0)
+        nyquist = np.cos(np.pi * f.grid.positions() / f.grid.dx)
+        f = dr.SpinorField(f.grid, 2, f.values + 0.1 * nyquist[:, None])
+        params = random_uniform_params(2, seed=5)
+        want = x_space_march(f, params, 0.3, 0.02)
+        rows = marched_rows(monkeypatch)
+        got = dr.solve(f, params, 0.3, 0.02)
+        assert rows == [128] * 15
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13
+
+    @pytest.mark.parametrize("t_switch", [0.0, 0.255])
+    @pytest.mark.parametrize("n_points", [127, 128])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_per_point_potential_moves_the_march_to_the_whole_grid(self, monkeypatch, dim,
+                                                                   n_points, t_switch):
+        f = packet(dim, n_points, 1.0)
+        params = x_dependent_after(random_uniform_params(dim, seed=dim), t_switch)
+        want = x_space_march(f, params, 0.53, 0.02)
+        rows = marched_rows(monkeypatch)
+        got = dr.solve(f, params, 0.53, 0.02)
+        # steps whose samples are all uniform run on the band; the step that
+        # meets the first per-point sample is redone on the whole grid
+        done = {0.0: 0, 0.255: 13}[t_switch]
+        assert rows == [rows[0]] * (done + 1) + [n_points] * (27 - done)
+        assert rows[0] < n_points // 2
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13
+
+    def test_criterion_06_packet_marches_on_its_band(self, monkeypatch):
+        cfg = ex.ExperimentConfig(experiment="convergence", dim=2, mass=0.1, e_ym=0.08,
+                                  epsilons=(0.4, 0.2, 0.1, 0.05), sigma=0.5, k0=0.0,
+                                  x_max=100.0, t_max=50.0)
+        f, _ = ex._shared_initial_condition(cfg, ex._lattice_for(cfg, 0.05))
+        b0, b1 = ex.su2_electric_potentials(cfg.e_ym)
+        rows = marched_rows(monkeypatch)
+        dr.solve(f, dr.DiracParams(cfg.mass, b0, b1, un.generators_u(2)), 2 * cfg.dirac_dt,
+                 cfg.dirac_dt)
+        assert f.grid.n_points == 4001
+        assert len(rows) == 2 and max(rows) <= 300
+
+    def test_unstable_band_march_aborts(self, monkeypatch):
+        # test_unstable_dt_aborts's near-Nyquist mode, alone in its band
+        grid = grid64()
+        k = grid.wavenumbers()[30]
+        f = dr.SpinorField(grid, 1, np.exp(1j * k * grid.positions())[:, None] * np.array([1.0, 0.0]))
+        rows = marched_rows(monkeypatch)
+        with pytest.raises(dr.NumericalAbort):
+            with np.errstate(all="ignore"):
+                dr.solve(f, free_params(dim=1, mass=0.1), 200.0, 0.5)
+        assert set(rows) == {61}
 
 
 # The broadcast formulas the lean kernels replaced, kept here as references:

@@ -256,13 +256,6 @@ class TestEvolve:
         with pytest.raises(ValueError):
             wk.evolve(state, field, wk.WalkConfig(2, 0.1), -1)
 
-    def test_observer_called_each_step(self):
-        spec, field = spec_and_identity()
-        state = random_state(spec, 2, seed=2)
-        seen = []
-        wk.evolve(state, field, wk.WalkConfig(2, 0.1), 5, observer=lambda s: seen.append(s.j))
-        assert seen == [1, 2, 3, 4, 5]
-
 
 class TestGaugeCovariance:
     def test_transform_preserves_probabilities(self):
