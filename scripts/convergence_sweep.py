@@ -2,8 +2,8 @@
 """Continuum-limit sweep: evolve the same Gaussian packet through the walk
 and through the Dirac reference solver on the uniform SU(2) electric field,
 one leg per lattice step, and fit the log-log slope of the mean relative
-difference.  The full-size run takes about a minute; pass --quick for a
-desk-check at a third of the domain."""
+difference.  The full-size run takes about 12 s on 2 cores; pass --quick
+for a desk-check at a third of the domain (about 2.5 s)."""
 
 import argparse
 import json
@@ -24,7 +24,7 @@ def main(argv=None) -> int:
     ap.add_argument("--epsilon", type=float, action="append", dest="epsilons")
     ap.add_argument("--out", default="out/convergence")
     ap.add_argument("--quick", action="store_true",
-                    help="smaller domain and horizon (~6s instead of ~1min)")
+                    help="smaller domain and horizon (~2.5 s instead of ~12 s)")
     args = ap.parse_args(argv)
 
     def run():

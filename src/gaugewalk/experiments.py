@@ -87,10 +87,22 @@ class ExperimentConfig:
         elif self.experiment in ("evolve", "trajectory") and not self.epsilons:
             raise ConfigError(f"the {self.experiment} experiment walks at epsilons[0]; epsilons must not be empty")
         walked = {"convergence": self.epsilons, "evolve": self.epsilons[:1], "trajectory": self.epsilons[:1]}
+        # the packet's spinor needs m > 0.  trajectory refuses m <= 0 when it
+        # runs, not here: gwbench's failure-count self-test needs a
+        # `trajectory --mass 0` config that passes set-up and then exits 1
+        if self.experiment in ("convergence", "evolve") and self.mass <= 0:
+            raise ConfigError(f"mass must be positive: the {self.experiment} packet needs m > 0")
         for eps in walked.get(self.experiment, ()):
             # the packet's wavenumber support must fit under the lattice Nyquist
             if abs(self.k0) + 4 * self.sigma > np.pi / eps:
                 raise ConfigError(f"packet under-resolved at eps={eps}: |k0| + 4*sigma exceeds pi/eps")
+            p_max, steps = self.lattice_size(eps)
+            if p_max < 2:
+                raise ConfigError(f"x_max = {self.x_max:g} is too small at eps={eps}: "
+                                  f"round(x_max / eps) = {p_max}, the lattice needs >= 2")
+            if steps < 1:
+                raise ConfigError(f"t_max = {self.t_max:g} is too small at eps={eps}: "
+                                  f"round(t_max / eps) = {steps}, the walk needs >= 1 step")
         if self.experiment == "trajectory" and self.safe_zone() <= 0:
             raise ConfigError(f"no room for the packet: x_max - 4/sigma - 2 = {self.safe_zone():.3g} <= 0")
 
@@ -118,6 +130,11 @@ class ExperimentConfig:
     def epsilon(self) -> float:
         """The lattice step of a single-walk run (evolve, trajectory)."""
         return self.epsilons[0]
+
+    def lattice_size(self, eps: float) -> tuple[int, int]:
+        """(p_max, steps) of the walk at lattice step eps: sites p = -p_max
+        .. p_max cover [-x_max, x_max], and `steps` steps reach t_max."""
+        return int(round(self.x_max / eps)), int(round(self.t_max / eps))
 
     def safe_zone(self) -> float:
         """Largest |mean position| the trajectory run accepts: the domain
@@ -168,8 +185,7 @@ def _output_dir(cfg: ExperimentConfig) -> Path:
 
 
 def _lattice_for(cfg: ExperimentConfig, eps: float) -> lattice.LatticeSpec:
-    p_max = int(round(cfg.x_max / eps))
-    steps = int(round(cfg.t_max / eps))
+    p_max, steps = cfg.lattice_size(eps)
     return lattice.LatticeSpec(eps, p_max, steps + 2)
 
 
@@ -191,7 +207,7 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
         spec = _lattice_for(cfg, eps)
         packet, state = _shared_initial_condition(cfg, spec)
         field_ = lattice.GaugeField.from_potentials(b0, b1, spec, gens)
-        state = walker.evolve(state, field_, _walk_config(cfg, eps), int(round(cfg.t_max / eps)))
+        state = walker.evolve(state, field_, _walk_config(cfg, eps), cfg.lattice_size(eps)[1])
         ref = dirac.solve(packet, params, cfg.t_max, dt=min(cfg.dirac_dt, eps))
         ref_minus = ref.values[:, :cfg.dim]
         d_re = analysis.relative_difference(ref_minus, state.psi_minus, eps, np.real)
@@ -237,7 +253,7 @@ def run_trajectory(cfg: ExperimentConfig) -> dict:
     """Mean walk position per step on the SU(2) electric field versus the
     aligned-isospin Wong closed form with matched (x0, p0 = k0)."""
     if cfg.mass <= 0:
-        raise ConfigError("trajectory comparison needs mass > 0")
+        raise ConfigError("mass must be positive: the trajectory comparison needs m > 0")
     eps = cfg.epsilon
     spec = _lattice_for(cfg, eps)
     gens = unitary.generators_u(2)
@@ -250,8 +266,7 @@ def run_trajectory(cfg: ExperimentConfig) -> dict:
     safe = cfg.safe_zone()
     times, xbar, xcl = [0.0], [x0], [x0]
     wcfg = _walk_config(cfg, eps)
-    steps = int(round(cfg.t_max / eps))
-    for n in range(1, steps + 1):
+    for n in range(1, cfg.lattice_size(eps)[1] + 1):
         state = walker.step(state, field_, wcfg)
         t = n * eps
         xw = analysis.mean_position(state.site_probabilities(), positions, eps)
@@ -404,7 +419,7 @@ def run_evolve(cfg: ExperimentConfig) -> dict:
     field_ = lattice.GaugeField.from_potentials(*su2_electric_potentials(cfg.e_ym), spec, gens)
     _, state = _shared_initial_condition(cfg, spec)
     pi0 = walker.total_probability(state)
-    state = walker.evolve(state, field_, _walk_config(cfg, eps), int(round(cfg.t_max / eps)))
+    state = walker.evolve(state, field_, _walk_config(cfg, eps), cfg.lattice_size(eps)[1])
     drift = abs(walker.total_probability(state) - pi0)
 
     out = _output_dir(cfg)

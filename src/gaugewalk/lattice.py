@@ -24,9 +24,11 @@ class SiteRangeError(IndexError):
     pass
 
 
-# Time slices each field or transformation keeps built: a curvature needs
-# three neighbouring slices, a transformed curvature four slices of G.
-SLICE_CACHE = 4
+# Time slices each field or transformation keeps built: enough for the
+# whole check lattice of gauge_check_residuals (53 field slices, 54 of G),
+# so its random-j curvature samples never rebuild a slice.  A slice uniform
+# in x is one matrix, so the memo costs memory only for per-site slices.
+SLICE_CACHE = 64
 
 
 @dataclass(frozen=True)
@@ -135,9 +137,12 @@ class GaugeField:
     def __init__(self, spec: LatticeSpec, dim: int, slice_fn):
         self.spec = spec
         self.dim = dim
-        self._slices = functools.lru_cache(SLICE_CACHE)(
-            lambda j: tuple(_validate_slice(a, spec, dim, j, w) for a, w in zip(slice_fn(j), ("P", "Q")))
-        )
+
+        def build(j):
+            p, q = slice_fn(j)
+            return _validate_slice(p, spec, dim, j, "P"), _validate_slice(q, spec, dim, j, "Q")
+
+        self._slices = functools.lru_cache(SLICE_CACHE)(build)
 
     @classmethod
     def identity(cls, spec: LatticeSpec, dim: int) -> "GaugeField":
@@ -207,7 +212,7 @@ class GaugeTransformation:
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a.conj(), -1, -2)
+    return a.conj().mT
 
 
 def transform_potentials(field_: GaugeField, g: GaugeTransformation) -> GaugeField:
@@ -215,13 +220,14 @@ def transform_potentials(field_: GaugeField, g: GaugeTransformation) -> GaugeFie
     if field_.spec != g.spec or field_.dim != g.dim:
         raise DimensionError("gauge transformation does not match field")
 
+    # index i holds p = i - p_max; p+1 lives at index i+1, p-1 at i-1
+    sites = np.arange(field_.spec.n_sites)
+    right, left = np.roll(sites, -1), np.roll(sites, 1)
+
     def build(j):
         g_up = g.G(j + 1)
-        g_here = g.G(j)
-        # index i holds p = i - p_max; p+1 lives at index i+1
-        p_new = g_up @ field_.P(j) @ _dagger(np.roll(g_here, -1, axis=0))
-        q_new = g_up @ field_.Q(j) @ _dagger(np.roll(g_here, 1, axis=0))
-        return p_new, q_new
+        g_inv = _dagger(g.G(j))
+        return g_up @ field_.P(j) @ g_inv[right], g_up @ field_.Q(j) @ g_inv[left]
 
     return GaugeField(field_.spec, field_.dim, build)
 

@@ -30,7 +30,7 @@ def unitarity_defect(m: np.ndarray) -> float:
     has a non-finite entry."""
     m = np.asarray(m)
     n = m.shape[-1]
-    gram = np.swapaxes(m.conj(), -1, -2) @ m
+    gram = m.conj().mT @ m
     # the diagonal of every matrix in the stack, as one strided view
     gram.reshape(*gram.shape[:-2], n * n)[..., :: n + 1] -= 1
     return float(np.abs(gram).max())
@@ -148,7 +148,7 @@ def exp_map(coords: np.ndarray, gens: GeneratorSet) -> np.ndarray:
         return _exp_2x2(h)
     w, v = np.linalg.eigh(h)
     # V diag(e^{iw}) V†: scale the columns of V, then one matmul
-    return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().mT
 
 
 @dataclass(frozen=True)

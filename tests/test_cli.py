@@ -103,6 +103,31 @@ class TestGaugeCheckInternals:
         primed = wk.evolve(wk.gauge_transform_state(psi, g), lat.transform_potentials(field_, g), cfg, steps)
         assert got == np.max(np.abs(primed.amplitudes - wk.gauge_transform_state(plain, g).amplitudes))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_check_lattice_builds_each_slice_once(self, monkeypatch, dim, seed):
+        # the curvature samples at random j must find every slice the walks
+        # built still memoised: no field, G or transformed slice is rebuilt
+        made = []
+
+        def recording(make):
+            def wrapper(*args, **kwargs):
+                made.append(make(*args, **kwargs))
+                return made[-1]
+            return wrapper
+
+        for owner, name in ((lat.GaugeField, "random"), (lat.GaugeTransformation, "random"),
+                            (lat, "transform_potentials")):
+            monkeypatch.setattr(owner, name, recording(getattr(owner, name)))
+        spec = lat.LatticeSpec(0.1, 8, 52)
+        ex.gauge_check_residuals(dim, spec, seed)
+        infos = dict(zip(("field", "G", "transformed"), (obj._slices.cache_info() for obj in made)))
+        # a slice built twice was evicted in between, which leaves fewer
+        # slices memoised than were built
+        assert {k: i.misses for k, i in infos.items()} == {k: i.currsize for k, i in infos.items()}
+        # both walks read slices 0..49, the primed one G 0..50 too
+        assert min(i.misses for i in infos.values()) >= 50
+
     def test_abelian_consistency(self):
         assert ex.abelian_consistency_residual(seed=7) <= 1e-12
 
@@ -326,6 +351,30 @@ class TestValidationBeforeCompute:
         rc = cli.main([experiment, "--seed", seed, "--out", str(tmp_path / "run")])
         assert rc == 1
         assert "config error: seed must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("experiment, flags, message", [
+        ("convergence", ["--t-max", "0"], "t_max = 0 is too small at eps=0.4: round(t_max / eps) = 0"),
+        ("convergence", ["--t-max", "-1"], "t_max = -1 is too small at eps=0.4"),
+        ("evolve", ["--t-max", "-1"], "t_max = -1 is too small at eps=0.4"),
+        ("trajectory", ["--epsilon", "0.2", "--t-max", "0.05"], "t_max = 0.05 is too small at eps=0.2"),
+        ("convergence", ["--x-max", "0.5"], "x_max = 0.5 is too small at eps=0.4: round(x_max / eps) = 1"),
+        ("evolve", ["--epsilon", "0.2", "--x-max", "0.2"], "x_max = 0.2 is too small at eps=0.2"),
+        ("convergence", ["--mass", "0"], "mass must be positive: the convergence packet needs m > 0"),
+        ("evolve", ["--mass", "-0.5"], "mass must be positive: the evolve packet needs m > 0"),
+    ], ids=["convergence-t-zero", "convergence-t-negative", "evolve-t-negative", "trajectory-no-step",
+            "convergence-x-small", "evolve-x-small", "convergence-massless", "evolve-negative-mass"])
+    def test_lattice_and_mass(self, no_compute, tmp_path, capsys, experiment, flags, message):
+        rc = cli.main([experiment, *flags, "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not (tmp_path / "run").exists()
+
+    def test_trajectory_mass_checked_before_compute(self, no_compute, tmp_path, capsys):
+        rc = cli.main(["trajectory", "--mass", "0", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert "config error: mass must be positive" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_nonpositive_sigma(self, no_compute, tmp_path, capsys):

@@ -14,6 +14,11 @@ def small_spec(eps=0.1, p_max=5, j_max=8):
     return lat.LatticeSpec(eps, p_max, j_max)
 
 
+def long_spec():
+    """More time slices than a field or transformation memoises."""
+    return small_spec(p_max=3, j_max=lat.SLICE_CACHE + 8)
+
+
 class TestLatticeSpec:
     def test_geometry(self):
         spec = lat.LatticeSpec(0.5, 3, 4)
@@ -73,7 +78,7 @@ class TestGaugeField:
         assert np.max(np.abs(f.P(j) - want.conj().T)) <= 1e-13
 
     def test_random_field_deterministic(self):
-        spec = small_spec()
+        spec = long_spec()
         a = lat.GaugeField.random(spec, 2, seed=11)
         b = lat.GaugeField.random(spec, 2, seed=11)
         assert np.array_equal(a.P(5), b.P(5))
@@ -216,6 +221,19 @@ class TestGaugeTransformation:
             assert np.max(np.abs(back.P(j) - f.P(j))) <= 1e-12
             assert np.max(np.abs(back.Q(j) - f.Q(j))) <= 1e-12
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 9), st.integers(0, 10_000), st.integers(0, 4))
+    def test_slices_equal_the_rolled_formula(self, dim, p_max, seed, j):
+        # P' = G_{j+1,p} P G^-1_{j,p+1}, Q' = G_{j+1,p} Q G^-1_{j,p-1}, bit for bit
+        spec = lat.LatticeSpec(0.1, p_max, 4)
+        f = lat.GaugeField.random(spec, dim, seed)
+        g = lat.GaugeTransformation.random(spec, dim, seed + 1)
+        ft = lat.transform_potentials(f, g)
+        g_up, g_here = g.G(j + 1), g.G(j)
+        dagger = lambda a: np.swapaxes(a.conj(), -1, -2)
+        assert np.array_equal(ft.P(j), g_up @ f.P(j) @ dagger(np.roll(g_here, -1, axis=0)))
+        assert np.array_equal(ft.Q(j), g_up @ f.Q(j) @ dagger(np.roll(g_here, 1, axis=0)))
+
     def test_domain_extends_one_slice(self):
         spec = small_spec()
         g = lat.GaugeTransformation.random(spec, 2, seed=1)
@@ -240,7 +258,7 @@ class TestRandomDraws:
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from(["field", "transformation"]), st.integers(1, 3), st.integers(0, 2**32), st.integers(0, 8))
     def test_rebuilt_slice_equals_first_build(self, kind, dim, seed, j):
-        spec = small_spec()
+        spec = long_spec()
         obj = random_lattice(kind, spec, dim, seed)
         first = built(obj, j)
         for k in range(spec.j_max + 1):
