@@ -34,12 +34,12 @@ def relative_difference(a: np.ndarray, b: np.ndarray, epsilon: float,
 
 def mean_position(site_probabilities: np.ndarray, positions: np.ndarray,
                   epsilon: float) -> float:
-    """xbar = sum_p x_p |Psi_p|^2 eps / Pi."""
+    """xbar = sum_p x_p |Psi_p|^2 eps / Pi, the numerator one dot product."""
     probs = np.asarray(site_probabilities, dtype=float)
     norm = l2_bracket(probs, epsilon)
     if norm == 0.0:
         raise ZeroDivisionError("zero-norm state has no mean position")
-    return l2_bracket(probs * np.asarray(positions), epsilon) / norm
+    return float(probs @ np.asarray(positions, dtype=float)) * epsilon / norm
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .lattice import GaugeField, LatticeSpec, curvature_slice
-from .walker import WalkState
+from .walker import WalkState, row_probabilities
 
 _CHECKPOINT_HEADER = struct.Struct("<iiid")  # N, p_max, j, epsilon
 
@@ -19,7 +19,7 @@ _CHECKPOINT_HEADER = struct.Struct("<iiid")  # N, p_max, j, epsilon
 def write_state_csv(path, positions: np.ndarray, values: np.ndarray, origin: str) -> None:
     """Shared walk/continuum state schema: p, x_p, re/im of each component,
     per-site probability, plus an origin flag ('walk' or 'dirac')."""
-    values = np.asarray(values)
+    values = np.ascontiguousarray(values, dtype=complex)
     n, ncomp = values.shape
     p_max = (n - 1) // 2
     header = ["p", "x_p"]
@@ -27,9 +27,8 @@ def write_state_csv(path, positions: np.ndarray, values: np.ndarray, origin: str
         header += [f"re_{c}", f"im_{c}"]
     header += ["prob", "origin"]
     # a complex row viewed as floats is re/im interleaved per component
-    parts = np.ascontiguousarray(values, dtype=complex).view(float)
-    prob = np.sum(np.abs(values) ** 2, axis=1)
-    rows = zip(np.asarray(positions, dtype=float).tolist(), parts.tolist(), prob.tolist())
+    rows = zip(np.asarray(positions, dtype=float).tolist(), values.view(float).tolist(),
+               row_probabilities(values).tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -58,6 +57,8 @@ def read_checkpoint(path) -> WalkState:
     if dim < 1 or p_max < 0 or len(raw) != size:
         raise ValueError(f"truncated or corrupt checkpoint {path}: {len(raw)} payload bytes, "
                          f"expected {size} for N={dim}, p_max={p_max}")
+    if p_max < 2 or j < 0 or not 0 < eps < np.inf:
+        raise ValueError(f"corrupt checkpoint {path}: header p_max={p_max}, j={j}, epsilon={eps!r}")
     amps = np.frombuffer(raw, dtype="<c16").reshape(shape)
     spec = LatticeSpec(eps, p_max, max(j, 2))
     return WalkState(spec, dim, j, amps.copy())

@@ -41,8 +41,8 @@ class LatticeSpec:
     j_max: int
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if self.p_max < 2 or self.j_max < 2:
             raise ValueError("p_max and j_max must be >= 2")
 
@@ -157,12 +157,20 @@ class GaugeField:
         (t, x-array), sampled by sample_potential."""
 
         x = spec.positions()
-        shape = (spec.n_sites, gens.dim, gens.dim)
+        shape = (2, spec.n_sites, gens.dim, gens.dim)
 
         def build(j):
-            c0, c1 = (sample_potential(fn, spec.time(j), x, len(gens)) for fn in (b0, b1))
-            links = exp_map(spec.epsilon * np.stack(np.broadcast_arrays(c0 - c1, c0 + c1)), gens)
-            return np.broadcast_to(links[0], shape), np.broadcast_to(links[1], shape)
+            t = spec.time(j)
+            c0 = sample_potential(b0, t, x, len(gens))
+            c1 = sample_potential(b1, t, x, len(gens))
+            # the (b0 - b1, b0 + b1) pair in one array, at the larger sample shape
+            pair = np.empty((2,) + (c0.shape if c0.ndim >= c1.ndim else c1.shape))
+            np.subtract(c0, c1, out=pair[0])
+            np.add(c0, c1, out=pair[1])
+            pair *= spec.epsilon
+            # (2, 1, N, N) or (2, n_sites, N, N): one view of both links
+            links = np.broadcast_to(exp_map(pair, gens).reshape(2, -1, gens.dim, gens.dim), shape)
+            return links[0], links[1]
 
         return cls(spec, gens.dim, build)
 

@@ -78,6 +78,23 @@ class TestMeanPosition:
             an.mean_position(np.zeros(3), np.arange(3.0), 0.1)
 
 
+class TestMeanPositionDot:
+    """The numerator is one dot product; the l2_bracket formula sums
+    probs * x pairwise.  Packets sit off the origin, so x-bar has no
+    cancellation to magnify the difference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.floats(-30.0, 30.0).filter(lambda c: abs(c) >= 1.0),
+           st.floats(0.2, 3.0))
+    def test_matches_l2_bracket_formula(self, seed, centre, width):
+        eps = 0.025
+        x = eps * np.arange(-1400, 1401)
+        noise = np.random.default_rng(seed).uniform(0.5, 1.5, x.size)
+        probs = noise * np.exp(-((x - centre) / width) ** 2)
+        want = an.l2_bracket(probs * x, eps) / an.l2_bracket(probs, eps)
+        assert abs(an.mean_position(probs, x, eps) - want) <= 1e-14 * abs(want)
+
+
 class TestConvergenceSeries:
     def test_requires_decreasing_epsilons(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -62,6 +63,26 @@ class TestCheckpoint:
             gio.read_checkpoint(path)
         path.write_bytes(data[:12])
         with pytest.raises(ValueError, match="truncated"):
+            gio.read_checkpoint(path)
+
+
+    @pytest.mark.parametrize("field, value", [("epsilon", float("nan")), ("epsilon", float("inf")),
+                                              ("epsilon", 0.0), ("j", -5), ("p_max", 1)])
+    def test_corrupt_header_refused_before_any_state(self, tmp_path, monkeypatch, field, value):
+        header = {"dim": 2, "p_max": 4, "j": 3, "epsilon": 0.1}
+        header[field] = value
+        # a payload of the size the header promises, so only the value is wrong
+        payload = np.ones((2 * header["p_max"] + 1, 4), dtype="<c16").tobytes()
+        path = tmp_path / "s.ckpt"
+        path.write_bytes(struct.pack("<iiid", header["dim"], header["p_max"], header["j"],
+                                     header["epsilon"]) + payload)
+
+        def built(*args, **kwargs):
+            raise AssertionError("a state was built from a corrupt header")
+
+        monkeypatch.setattr(gio, "LatticeSpec", built)
+        monkeypatch.setattr(gio, "WalkState", built)
+        with pytest.raises(ValueError, match=f"^corrupt checkpoint {path}: header"):
             gio.read_checkpoint(path)
 
 

@@ -39,6 +39,11 @@ class TestLatticeSpec:
         with pytest.raises(ValueError):
             lat.LatticeSpec(0.1, 1, 5)
 
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf])
+    def test_non_finite_epsilon_refused(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            lat.LatticeSpec(epsilon, 3, 3)
+
 
 class TestGaugeField:
     def test_identity_field(self):
@@ -156,6 +161,25 @@ class TestGaugeField:
             assert np.max(np.abs(f.Q(j) - want_q)) <= 1e-13
             uniform = not (b0_per_site or b1_per_site)
             assert (f.P(j).strides[0] == 0) == uniform and (f.Q(j).strides[0] == 0) == uniform
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("b0_per_site, b1_per_site",
+                             [(False, False), (True, True), (True, False), (False, True)])
+    def test_slices_equal_the_stacked_broadcast_formula(self, dim, b0_per_site, b1_per_site):
+        spec = small_spec(eps=0.3)
+        gens = un.generators_u(dim)
+        rng = np.random.default_rng(dim)
+        shape = lambda per_site: (spec.n_sites, len(gens)) if per_site else (len(gens),)
+        a0, a1 = rng.normal(0, 1, shape(b0_per_site)), rng.normal(0, 1, shape(b1_per_site))
+        b0 = lambda t, x: (1 + t) * a0
+        b1 = lambda t, x: np.cos(t) * a1
+        f = lat.GaugeField.from_potentials(b0, b1, spec, gens)
+        for j in (0, 1, spec.j_max):
+            c0, c1 = b0(spec.time(j), None), b1(spec.time(j), None)
+            links = un.exp_map(spec.epsilon * np.stack(np.broadcast_arrays(c0 - c1, c0 + c1)), gens)
+            site_shape = (spec.n_sites, dim, dim)
+            assert np.array_equal(f.P(j), np.broadcast_to(links[0], site_shape))
+            assert np.array_equal(f.Q(j), np.broadcast_to(links[1], site_shape))
 
     def test_broadcast_slice_is_still_validated(self):
         spec = small_spec()

@@ -1,10 +1,13 @@
 """Walk dynamics: coin, transport, probability, gauge covariance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaugewalk import experiments as ex
 from gaugewalk import lattice as lat
 from gaugewalk import unitary as un
 from gaugewalk import walker as wk
@@ -304,3 +307,56 @@ class TestWalkState:
         bad[0, 0] = np.inf
         with pytest.raises(ValueError):
             wk.WalkState(spec, 2, 0, bad)
+
+
+class TestProbabilityKernel:
+    """row_probabilities sums re^2 + im^2 on the float view; the reference
+    sums |.|^2 of np.abs, which goes through hypot."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "column_sliced"])
+    def test_matches_sum_of_abs_squared(self, dim, layout):
+        spec = lat.LatticeSpec(0.1, 20, 4)
+        rng = np.random.default_rng(dim)
+        wide = rng.standard_normal((spec.n_sites, 4 * dim)) + 1j * rng.standard_normal((spec.n_sites, 4 * dim))
+        amps = {"contiguous": np.ascontiguousarray(wide[:, : 2 * dim]),
+                "transposed": np.ascontiguousarray(wide[:, : 2 * dim].T).T,
+                "column_sliced": wide[:, ::2]}[layout]
+        assert amps.flags.c_contiguous == (layout == "contiguous")
+        want = np.sum(np.abs(amps) ** 2, axis=1)
+        np.testing.assert_allclose(wk.row_probabilities(amps), want, rtol=1e-15, atol=0)
+        state = wk.WalkState(spec, dim, 0, amps)
+        assert state.amplitudes.flags.c_contiguous
+        np.testing.assert_allclose(state.site_probabilities(), want, rtol=1e-15, atol=0)
+
+
+class TestWalkStateFinite:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_refuses_non_finite_part_of_any_component(self, value, part):
+        spec, _ = spec_and_identity()
+        good = random_state(spec, 2, seed=3).amplitudes
+        for site in (0, spec.n_sites - 1):
+            for comp in range(4):
+                bad = good.copy()
+                bad[site, comp] = complex(value, 0.5) if part == "real" else complex(0.5, value)
+                with pytest.raises(ValueError, match="non-finite amplitudes"):
+                    wk.WalkState(spec, 2, 0, bad)
+
+
+def test_uniform_step_allocates_at_most_two_and_a_half_states():
+    """One x-uniform step on the 2801-site lattice of the benchmark's walk
+    allocates the shifted state, the output and small temporaries: a step
+    that made state-sized temporaries (three in one rewrite) pays minor page
+    faults on every step of a large lattice."""
+    spec = lat.LatticeSpec(0.025, 1400, 800)
+    field = lat.GaugeField.from_potentials(*ex.su2_electric_potentials(0.05), spec, un.generators_u(2))
+    config = wk.WalkConfig.from_mass(2, 0.1, spec.epsilon)
+    state = wk.step(random_state(spec, 2, seed=0), field, config)  # builds the per-lattice caches
+    tracemalloc.start()
+    try:
+        wk.step(state, field, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * state.amplitudes.nbytes
