@@ -54,8 +54,10 @@ class SpectralGrid:
     def __post_init__(self):
         if self.n_points < 8:
             raise ValueError("need at least 8 grid points")
-        if self.dx <= 0:
-            raise ValueError("dx must be positive")
+        if not 0 < self.dx < np.inf:
+            raise ValueError(f"dx must be positive and finite, got {self.dx!r}")
+        if not np.isfinite(self.x_min):
+            raise ValueError(f"x_min must be finite, got {self.x_min!r}")
 
     @classmethod
     def from_lattice(cls, spec: LatticeSpec) -> "SpectralGrid":
@@ -159,8 +161,8 @@ class DiracParams:
     gens: GeneratorSet
 
     def __post_init__(self):
-        if self.mass < 0:
-            raise ValueError("mass must be >= 0")
+        if not 0 <= self.mass < np.inf:
+            raise ValueError(f"mass must be >= 0 and finite, got {self.mass!r}")
 
     def potential_matrices(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(B0, B1) at time t: one matrix each for a uniform sample, one per
@@ -218,8 +220,8 @@ def dirac_rhs(f: SpinorField, params: DiracParams, t: float) -> SpinorField:
 def rk2_step(f: SpinorField, params: DiracParams, t: float, dt: float) -> SpinorField:
     """Midpoint rule: k1 = rhs(f,t); k2 = rhs(f + dt/2 k1, t + dt/2);
     result = f + dt k2."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     k1 = dirac_rhs(f, params, t).values
     k1 *= 0.5 * dt
     k1 += f.values
@@ -320,10 +322,10 @@ def solve(initial: SpinorField, params: DiracParams, t_max: float, dt: float) ->
     is uniform in x.  The first per-point sample (see dirac_rhs) pads the
     state to the caller's grid, which redoes that step and the rest.  The
     caller receives an x-space field on its own grid."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not 0 <= t_max < np.inf:
+        raise ValueError(f"t_max must be >= 0 and finite, got {t_max!r}")
     if t_max <= 1e-12:  # no step to take
         return initial.to_physical()
     full = initial.to_spectral()

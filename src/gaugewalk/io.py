@@ -60,6 +60,8 @@ def read_checkpoint(path) -> WalkState:
     if p_max < 2 or j < 0 or not 0 < eps < np.inf:
         raise ValueError(f"corrupt checkpoint {path}: header p_max={p_max}, j={j}, epsilon={eps!r}")
     amps = np.frombuffer(raw, dtype="<c16").reshape(shape)
+    if not np.isfinite(amps.view(float)).all():
+        raise ValueError(f"corrupt checkpoint {path}: non-finite amplitudes")
     spec = LatticeSpec(eps, p_max, max(j, 2))
     return WalkState(spec, dim, j, amps.copy())
 

@@ -72,20 +72,29 @@ def uniform_in_x(arr: np.ndarray) -> bool:
     return arr.strides[0] == 0
 
 
+def _check_links(links: np.ndarray, spec: LatticeSpec, j: int, kinds: str) -> None:
+    """One unitarity check of links[l, k, s], kind kinds[k] ("P", "Q" or "G")
+    on slice j + l at site s (s = 0 only for a slice uniform in x)."""
+    defect = unitarity_defect(links)
+    # a non-finite entry makes the defect NaN or inf, which fails this test;
+    # the first non-finite entry, or else bad slice, is looked for only to word the error
+    if not defect <= CONSTRUCTION_TOL:
+        finite = np.isfinite(links).all(axis=(-2, -1))
+        if not finite.all():
+            l, k, s = np.argwhere(~finite)[0]
+            raise UnitarityError(f"non-finite {kinds[k]} entry at j={j + l}, p={s - spec.p_max}")
+        gram = links.conj().mT @ links - np.eye(links.shape[-1])
+        per_slice = np.abs(gram).max(axis=(-3, -2, -1))
+        l, k = np.argwhere(~(per_slice <= CONSTRUCTION_TOL))[0]
+        raise UnitarityError(f"{kinds[k]} slice j={j + l} not unitary (defect {per_slice[l, k]:.2e})")
+
+
 def _validate_slice(arr: np.ndarray, spec: LatticeSpec, dim: int, j: int, what: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=complex)
     if arr.shape != (spec.n_sites, dim, dim):
         raise DimensionError(f"{what} slice j={j} has shape {arr.shape}, expected {(spec.n_sites, dim, dim)}")
     # a slice uniform in x is one matrix viewed at every site: check it once
-    distinct = arr[:1] if uniform_in_x(arr) else arr
-    defect = unitarity_defect(distinct)
-    # a non-finite entry makes the defect NaN or inf, which fails this test;
-    # the entry is looked for only to word the error
-    if not defect <= CONSTRUCTION_TOL:
-        if not np.isfinite(distinct).all():
-            bad = np.argwhere(~np.isfinite(distinct))[0]
-            raise UnitarityError(f"non-finite {what} entry at j={j}, p={int(bad[0]) - spec.p_max}")
-        raise UnitarityError(f"{what} slice j={j} not unitary (defect {defect:.2e})")
+    _check_links((arr[:1] if uniform_in_x(arr) else arr)[None, None], spec, j, what)
     arr.setflags(write=False)
     return arr
 
@@ -154,25 +163,55 @@ class GaugeField:
         """The links of the continuum potential B_mu = sum_k b_mu^k tau_k:
         P_{j,p} = exp_map(eps * (b0 - b1)(t_j, x_p)), Q_{j,p} = exp_map(eps *
         (b0 + b1)(t_j, x_p)).  b0 and b1 are coordinate functions of
-        (t, x-array), sampled by sample_potential."""
+        (t, x-array), sampled by sample_potential.
 
+        Slices are built a run at a time: from the requested slice j on, while
+        both samples are uniform in x, up to SLICE_CACHE slices or j_max, with
+        one exp_map and one unitarity check; each slice is a stride-0 view of
+        its own P and Q.  Slice j is sampled first, so its errors name t_j; a
+        later sample that is per-site or refused ends the run, and its slice
+        is built when requested.  A per-site slice is a run of one."""
         x = spec.positions()
-        shape = (2, spec.n_sites, gens.dim, gens.dim)
+        shape = (spec.n_sites, gens.dim, gens.dim)
+        ahead = {}  # the last run's slices not yet requested
+
+        def sample(j):
+            t = spec.time(j)
+            return sample_potential(b0, t, x, len(gens)), sample_potential(b1, t, x, len(gens))
+
+        def following(j):
+            """The samples after slice j's while both stay uniform in x."""
+            for k in range(j + 1, min(j + SLICE_CACHE, spec.j_max + 1)):
+                try:
+                    c0, c1 = sample(k)
+                except ValueError:
+                    return
+                if c0.ndim != 1 or c1.ndim != 1:
+                    return
+                yield c0, c1
 
         def build(j):
-            t = spec.time(j)
-            c0 = sample_potential(b0, t, x, len(gens))
-            c1 = sample_potential(b1, t, x, len(gens))
-            # the (b0 - b1, b0 + b1) pair in one array, at the larger sample shape
-            pair = np.empty((2,) + (c0.shape if c0.ndim >= c1.ndim else c1.shape))
-            np.subtract(c0, c1, out=pair[0])
-            np.add(c0, c1, out=pair[1])
+            if j in ahead:
+                return ahead.pop(j)
+            c0, c1 = sample(j)
+            run = [(c0, c1)] + (list(following(j)) if c0.ndim == c1.ndim == 1 else [])
+            c0, c1 = np.array([c[0] for c in run]), np.array([c[1] for c in run])
+            # (b0 - b1, b0 + b1) per slice of the run, at the larger sample shape
+            pair = np.empty((len(run), 2) + np.broadcast_shapes(c0.shape, c1.shape)[1:])
+            np.subtract(c0, c1, out=pair[:, 0])
+            np.add(c0, c1, out=pair[:, 1])
             pair *= spec.epsilon
-            # (2, 1, N, N) or (2, n_sites, N, N): one view of both links
-            links = np.broadcast_to(exp_map(pair, gens).reshape(2, -1, gens.dim, gens.dim), shape)
-            return links[0], links[1]
+            # (run, 2, 1, N, N) or (1, 2, n_sites, N, N): the distinct links
+            links = exp_map(pair, gens).reshape(len(run), 2, -1, gens.dim, gens.dim)
+            _check_links(links, spec, j, "PQ")
+            links = np.broadcast_to(links, (len(run), 2) + shape)
+            ahead.clear()
+            ahead.update((j + l, (links[l, 0], links[l, 1])) for l in range(1, len(run)))
+            return links[0, 0], links[0, 1]
 
-        return cls(spec, gens.dim, build)
+        field = cls(spec, gens.dim, None)
+        field._slices = functools.lru_cache(SLICE_CACHE)(build)  # it checks its own runs
+        return field
 
     @classmethod
     def from_arrays(cls, spec: LatticeSpec, p_arr: np.ndarray, q_arr: np.ndarray) -> "GaugeField":

@@ -40,6 +40,16 @@ class TestSpectralGrid:
         with pytest.raises(ValueError):
             dr.SpectralGrid(16, 0.0, -0.1)
 
+    @pytest.mark.parametrize("dx", [np.nan, np.inf])
+    def test_non_finite_dx_refused(self, dx):
+        with pytest.raises(ValueError, match="dx must be positive and finite"):
+            dr.SpectralGrid(16, 0.0, dx)
+
+    @pytest.mark.parametrize("x_min", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x_min_refused(self, x_min):
+        with pytest.raises(ValueError, match="x_min must be finite"):
+            dr.SpectralGrid(16, x_min, 0.1)
+
     def test_nyquist_derivative_zeroed(self):
         grid = grid64()
         sym = grid.spinor_symbols(1)[0][:, 0]
@@ -170,6 +180,14 @@ class TestRk2:
         f = dr.SpinorField(grid, 1, np.ones((64, 2), dtype=complex))
         with pytest.raises(ValueError):
             dr.rk2_step(f, free_params(dim=1), 0.0, -0.1)
+        for dt in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                dr.rk2_step(f, free_params(dim=1), 0.0, dt)
+
+    @pytest.mark.parametrize("mass", [np.nan, np.inf])
+    def test_non_finite_mass_refused(self, mass):
+        with pytest.raises(ValueError, match="mass must be >= 0 and finite"):
+            free_params(dim=1, mass=mass)
 
 
 class TestPlaneWaveSpinors:
@@ -234,6 +252,18 @@ class TestSolve:
         f = dr.SpinorField(grid, 1, np.ones((64, 2), dtype=complex))
         out = dr.solve(f, free_params(dim=1), 0.0, 0.01)
         assert np.array_equal(out.values, f.values)
+
+    @pytest.mark.parametrize("t_max, dt, message", [
+        (np.nan, 0.01, "t_max must be >= 0 and finite"), (np.inf, 0.01, "t_max must be >= 0 and finite"),
+        (1.0, np.nan, "dt must be positive and finite"), (1.0, np.inf, "dt must be positive and finite")])
+    def test_non_finite_time_refused_before_any_step(self, monkeypatch, t_max, dt, message):
+        def stepped(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(dr, "rk2_step", stepped)
+        f = dr.SpinorField(grid64(), 1, np.ones((64, 2), dtype=complex))
+        with pytest.raises(ValueError, match=message):
+            dr.solve(f, free_params(dim=1), t_max, dt)
 
     def test_lands_exactly_on_t_max(self):
         grid = grid64()

@@ -86,6 +86,18 @@ class TestCheckpoint:
             gio.read_checkpoint(path)
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_payload_names_the_file(self, tmp_path, value):
+        path = tmp_path / "s.ckpt"
+        gio.write_checkpoint(path, make_state())
+        data = bytearray(path.read_bytes())
+        # the imaginary part of the last amplitude
+        data[-8:] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=f"^corrupt checkpoint {path}: non-finite amplitudes$"):
+            gio.read_checkpoint(path)
+
+
 class TestStateCsv:
     def test_schema_and_probability_column(self, tmp_path):
         state = make_state()

@@ -226,6 +226,152 @@ class TestGaugeField:
             build(lambda t, x: per_site)
 
 
+def smooth_potentials(dim, seed=0):
+    """x-uniform b0, b1 whose coordinates vary with t, and their generators."""
+    gens = un.generators_u(dim)
+    a = np.random.default_rng(seed).normal(0, 1, (4, len(gens)))
+    return (lambda t, x: a[0] + t * a[1] + np.sin(3 * t) * a[3],
+            lambda t, x: np.cos(2 * t) * a[2] - t * t * a[1], gens)
+
+
+def spoiled(fn, spec, k, value):
+    """fn, except at t_k, where it returns value(fn's uniform sample, x)."""
+    return lambda t, x: value(fn(t, x), x) if t == spec.time(k) else fn(t, x)
+
+
+class TestPotentialRuns:
+    """An x-uniform potential is built a run of slices at a time."""
+
+    DIMS = [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_slice_equals_its_build_alone_at_any_offset_in_a_run(self, dim):
+        spec = long_spec()  # two runs from slice 0, the second clipped at j_max
+        b0, b1, gens = smooth_potentials(dim)
+        per_site = lambda c, x: np.tile(c, (len(x), 1))
+
+        def alone(j):
+            # a per-site sample at j + 1 ends the run at j; j_max ends it there
+            ends = spoiled(b0, spec, j + 1, per_site) if j < spec.j_max else b0
+            f = lat.GaugeField.from_potentials(ends, b1, spec, gens)
+            return f.P(j), f.Q(j)
+
+        from_zero = lat.GaugeField.from_potentials(b0, b1, spec, gens)
+        from_five = lat.GaugeField.from_potentials(b0, b1, spec, gens)
+        from_five.P(5)  # a run of slices 5 .. 5 + SLICE_CACHE - 1
+        edges = {0, 1, 37, lat.SLICE_CACHE - 1, lat.SLICE_CACHE, spec.j_max - 1, spec.j_max}
+        for j in sorted(edges):
+            want = alone(j)
+            assert all(np.array_equal(a, b) for a, b in zip((from_zero.P(j), from_zero.Q(j)), want))
+        for j in (5, 6, lat.SLICE_CACHE + 4):
+            want = alone(j)
+            got = (from_five.P(j), from_five.Q(j))
+            assert all(np.array_equal(a, b) and a.strides[0] == 0 and not a.flags.writeable
+                       for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("bad, message", [
+        (lambda c, x: np.full_like(c, np.nan), r"^non-finite potential sample at t={t}$"),
+        (lambda c, x: np.zeros(len(c) + 1), r"^potential sample at t={t} has shape"),
+        (lambda c, x: np.where(x[:, None] > 0, np.inf, np.tile(c, (len(x), 1))),
+         r"^non-finite potential sample at t={t}, x="),
+    ])
+    def test_a_bad_sample_later_in_a_run_fails_only_its_own_slice(self, dim, bad, message):
+        spec = small_spec(j_max=12)
+        b0, b1, gens = smooth_potentials(dim)
+        k = 6
+        clean = lat.GaugeField.from_potentials(b0, b1, spec, gens)
+        field = lat.GaugeField.from_potentials(b0, spoiled(b1, spec, k, bad), spec, gens)
+        for j in range(k):
+            assert np.array_equal(field.P(j), clean.P(j)) and np.array_equal(field.Q(j), clean.Q(j))
+        with pytest.raises(ValueError, match=message.format(t=spec.time(k))):
+            field.P(k)
+        assert np.array_equal(field.Q(k + 1), clean.Q(k + 1))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_a_per_site_sample_later_in_a_run_is_built_per_site(self, dim):
+        spec = small_spec(j_max=12)
+        b0, b1, gens = smooth_potentials(dim)
+        k = 4
+        field = lat.GaugeField.from_potentials(spoiled(b0, spec, k, lambda c, x: np.tile(c, (len(x), 1))),
+                                               b1, spec, gens)
+        clean = lat.GaugeField.from_potentials(b0, b1, spec, gens)
+        for j in range(spec.j_max + 1):
+            assert (field.P(j).strides[0] == 0) == (j != k)
+            assert np.max(np.abs(field.P(j) - clean.P(j))) <= 1e-13
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("kind", [0, 1])
+    @pytest.mark.parametrize("value", [1.01, np.nan])
+    def test_a_bad_link_in_a_run_names_its_slice_and_kind(self, monkeypatch, dim, kind, value):
+        spec = small_spec(j_max=12)
+        b0, b1, gens = smooth_potentials(dim)
+        start, offset = 2, 5
+
+        def spoiling(coords, gens_):
+            links = un.exp_map(coords, gens_)
+            if len(links) > offset:
+                links[offset, kind, ..., 0, 0] *= value
+            return links
+
+        monkeypatch.setattr(lat, "exp_map", spoiling)
+        field = lat.GaugeField.from_potentials(b0, b1, spec, gens)
+        what, j = "PQ"[kind], start + offset
+        message = (f"^{what} slice j={j} not unitary" if value == 1.01
+                   else f"^non-finite {what} entry at j={j}, p={-spec.p_max}$")
+        with pytest.raises(un.UnitarityError, match=message):
+            field.P(start)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_one_exp_map_and_one_check_per_run(self, monkeypatch, dim):
+        spec = small_spec(p_max=3, j_max=2 * lat.SLICE_CACHE + 5)
+        b0, b1, gens = smooth_potentials(dim)
+        calls = {"exp_map": [], "unitarity_defect": []}
+        for name, counted in calls.items():
+            def counter(m, *args, _fn=getattr(lat, name), _calls=counted):
+                _calls.append(len(m))
+                return _fn(m, *args)
+            monkeypatch.setattr(lat, name, counter)
+        field = lat.GaugeField.from_potentials(b0, b1, spec, gens)
+        for j in range(spec.j_max + 1):
+            field.P(j), field.Q(j)
+        runs = [lat.SLICE_CACHE, lat.SLICE_CACHE, spec.j_max + 1 - 2 * lat.SLICE_CACHE]
+        assert calls == {"exp_map": runs, "unitarity_defect": runs}
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_an_evicted_run_rebuilds_identical_slices(self, dim):
+        spec = long_spec()
+        b0, b1, gens = smooth_potentials(dim, seed=dim)
+        field = lat.GaugeField.from_potentials(b0, b1, spec, gens)
+        first = {j: (field.P(j), field.Q(j)) for j in range(spec.j_max + 1)}
+        misses = field._slices.cache_info().misses
+        # slices 0 .. j_max - SLICE_CACHE were evicted; slice 3 rebuilds its
+        # run, which brings 4 and 8 with it
+        for j in (3, 4, 8):
+            again = (field.P(j), field.Q(j))
+            assert all(a is not b and np.array_equal(a, b) for a, b in zip(again, first[j]))
+        assert field._slices.cache_info().misses == misses + 3
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_random_and_array_builds_check_each_slice_alone(self, monkeypatch, dim):
+        spec = small_spec()
+        counts = {"exp_map": 0, "unitarity_defect": 0}
+        for name in counts:
+            def counter(*args, _fn=getattr(lat, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(lat, name, counter)
+        field = lat.GaugeField.random(spec, dim, seed=1)
+        g = lat.GaugeTransformation.random(spec, dim, seed=2)
+        moved = lat.transform_potentials(field, g)
+        stacked = np.array([field.P(j) for j in range(spec.j_max + 1)])
+        arrays = lat.GaugeField.from_arrays(spec, stacked, stacked)
+        assert counts == {"exp_map": spec.j_max + 1, "unitarity_defect": 2 * (spec.j_max + 1)}
+        moved.P(2), g.G(spec.j_max + 1), arrays.P(0), arrays.Q(1)
+        # G(3), G(2) and moved slice 2's P and Q; G(j_max + 1); P and Q of two array slices
+        assert counts == {"exp_map": spec.j_max + 4, "unitarity_defect": 2 * (spec.j_max + 1) + 9}
+
+
 class TestGaugeTransformation:
     def test_identity_transform_fixes_field(self):
         spec = small_spec()
