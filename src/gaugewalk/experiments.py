@@ -299,12 +299,10 @@ def gauge_check_residuals(dim: int, spec: lattice.LatticeSpec, seed: int, steps:
     psi = walker.WalkState(spec, dim, 0, amps)
     wcfg = walker.WalkConfig(dim, 0.3)
 
-    # both walks advance together, so each slice of field_ that field_t is
-    # built from is still in field_'s memo when field_t asks for it
-    plain, primed = psi, walker.gauge_transform_state(psi, g)
-    for _ in range(steps):
-        plain = walker.step(plain, field_, wcfg)
-        primed = walker.step(primed, field_t, wcfg)
+    # field_'s memo (lattice.SLICE_CACHE) holds the whole check lattice, so
+    # the primed walk finds every slice of field_ that field_t is built from
+    plain = walker.evolve(psi, field_, wcfg, steps)
+    primed = walker.evolve(walker.gauge_transform_state(psi, g), field_t, wcfg, steps)
     expected = walker.gauge_transform_state(plain, g)
     square = float(np.max(np.abs(primed.amplitudes - expected.amplitudes)))
 

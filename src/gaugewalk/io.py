@@ -19,6 +19,8 @@ _CHECKPOINT_HEADER = struct.Struct("<iiid")  # N, p_max, j, epsilon
 def write_state_csv(path, positions: np.ndarray, values: np.ndarray, origin: str) -> None:
     """Shared walk/continuum state schema: p, x_p, re/im of each component,
     per-site probability, plus an origin flag ('walk' or 'dirac')."""
+    if origin not in ("walk", "dirac"):
+        raise ValueError(f"origin must be 'walk' or 'dirac', got {origin!r}")
     values = np.ascontiguousarray(values, dtype=complex)
     n, ncomp = values.shape
     p_max = (n - 1) // 2
@@ -27,13 +29,14 @@ def write_state_csv(path, positions: np.ndarray, values: np.ndarray, origin: str
         header += [f"re_{c}", f"im_{c}"]
     header += ["prob", "origin"]
     # a complex row viewed as floats is re/im interleaved per component
-    rows = zip(np.asarray(positions, dtype=float).tolist(), values.view(float).tolist(),
-               row_probabilities(values).tolist())
+    rows = zip(range(-p_max, n - p_max), np.asarray(positions, dtype=float).tolist(),
+               values.view(float).tolist(), row_probabilities(values).tolist())
+    # each row as csv.writer writes it: the repr of every float, none of
+    # which needs quoting, then csv's "\r\n"
+    template = "%d" + ",%r" * (2 * ncomp + 2) + f",{origin}\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i, (x, comps, pr) in enumerate(rows):
-            w.writerow([i - p_max, repr(x), *map(repr, comps), repr(pr), origin])
+        csv.writer(fh).writerow(header)
+        fh.writelines(template % (p, x, *comps, pr) for p, x, comps, pr in rows)
 
 
 def write_checkpoint(path, state: WalkState) -> None:

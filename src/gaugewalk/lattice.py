@@ -29,6 +29,10 @@ class SiteRangeError(IndexError):
 # so its random-j curvature samples never rebuild a slice.  A slice uniform
 # in x is one matrix, so the memo costs memory only for per-site slices.
 SLICE_CACHE = 64
+# Slices one run builds, for every source: walker.evolve prefetches the
+# slices of its steps RUN at a time, and from_potentials reads RUN slices
+# ahead while its samples stay uniform in x.
+RUN = 32
 
 
 @dataclass(frozen=True)
@@ -73,30 +77,20 @@ def uniform_in_x(arr: np.ndarray) -> bool:
 
 
 def _check_links(links: np.ndarray, spec: LatticeSpec, j: int, kinds: str) -> None:
-    """One unitarity check of links[l, k, s], kind kinds[k] ("P", "Q" or "G")
-    on slice j + l at site s (s = 0 only for a slice uniform in x)."""
-    defect = unitarity_defect(links)
-    # a non-finite entry makes the defect NaN or inf, which fails this test;
-    # the first non-finite entry, or else bad slice, is looked for only to word the error
-    if not defect <= CONSTRUCTION_TOL:
-        finite = np.isfinite(links).all(axis=(-2, -1))
-        if not finite.all():
-            l, k, s = np.argwhere(~finite)[0]
-            raise UnitarityError(f"non-finite {kinds[k]} entry at j={j + l}, p={s - spec.p_max}")
+    """One unitarity check per kind of links[l, k, s], kind kinds[k] ("P",
+    "Q" or "G") on slice j + l at site s (s = 0 only for a run uniform in
+    x).  A failure names the first bad slice and kind, in stepping order."""
+    # a non-finite entry makes the defect NaN or inf, which fails this test
+    if all(unitarity_defect(links[:, k]) <= CONSTRUCTION_TOL for k in range(len(kinds))):
+        return
+    with np.errstate(invalid="ignore"):
         gram = links.conj().mT @ links - np.eye(links.shape[-1])
-        per_slice = np.abs(gram).max(axis=(-3, -2, -1))
-        l, k = np.argwhere(~(per_slice <= CONSTRUCTION_TOL))[0]
-        raise UnitarityError(f"{kinds[k]} slice j={j + l} not unitary (defect {per_slice[l, k]:.2e})")
-
-
-def _validate_slice(arr: np.ndarray, spec: LatticeSpec, dim: int, j: int, what: str) -> np.ndarray:
-    arr = np.asarray(arr, dtype=complex)
-    if arr.shape != (spec.n_sites, dim, dim):
-        raise DimensionError(f"{what} slice j={j} has shape {arr.shape}, expected {(spec.n_sites, dim, dim)}")
-    # a slice uniform in x is one matrix viewed at every site: check it once
-    _check_links((arr[:1] if uniform_in_x(arr) else arr)[None, None], spec, j, what)
-    arr.setflags(write=False)
-    return arr
+    per_link = np.abs(gram).max(axis=(-3, -2, -1))
+    l, k = np.argwhere(~(per_link <= CONSTRUCTION_TOL))[0]
+    finite = np.isfinite(links[l, k]).all(axis=(-2, -1))
+    if not finite.all():
+        raise UnitarityError(f"non-finite {kinds[k]} entry at j={j + l}, p={np.argmin(finite) - spec.p_max}")
+    raise UnitarityError(f"{kinds[k]} slice j={j + l} not unitary (defect {per_link[l, k]:.2e})")
 
 
 def sample_potential(fn, t: float, x: np.ndarray, count: int) -> np.ndarray:
@@ -114,49 +108,73 @@ def sample_potential(fn, t: float, x: np.ndarray, count: int) -> np.ndarray:
     return coords
 
 
-def _random_slices(spec: LatticeSpec, dim: int, seed: int, tag: int, scale: float, lead: tuple):
-    """j -> exp_map(scale * z) with z standard normal u(N) coordinates of shape
-    lead + (n_sites, N^2).  The draws come from one Philox stream keyed by
-    SeedSequence([seed, tag]); slice j sets its counter to (0, j, 0, 0), so a
-    slice is the same on every rebuild and in any build order, and no two
+def _random_run(spec: LatticeSpec, dim: int, seed: int, tag: int, scale: float, kinds: int):
+    """(j, count) -> exp_map(scale * z) for slices j .. j + count - 1, with z
+    standard normal u(N) coordinates of shape (count, kinds, n_sites, N^2).
+    The draws come from one Philox stream keyed by SeedSequence([seed, tag]);
+    slice j sets its counter to (0, j, 0, 0), so a slice is the same on every
+    rebuild, in any build order and at any offset in a run, and no two
     slices share a stream."""
     gens = generators_u(dim)
-    shape = lead + (spec.n_sites, len(gens))
+    shape = (kinds, spec.n_sites, len(gens))
     bitgen = np.random.Philox(np.random.SeedSequence([seed, tag]))
     rng = np.random.Generator(bitgen)
     # a fresh state has an empty output buffer, so the counter alone decides the draws
     state = bitgen.state
     counter = state["state"]["counter"]
 
-    def build(j):
-        counter[1] = j
-        bitgen.state = state
-        return exp_map(scale * rng.standard_normal(shape), gens)
+    def run(j, count):
+        z = np.empty((count,) + shape)
+        for l in range(count):
+            counter[1] = j + l
+            bitgen.state = state
+            rng.standard_normal(out=z[l])
+        z *= scale
+        return exp_map(z, gens)
 
-    return build
+    return run
+
+
+def _memo(spec: LatticeSpec, run, kinds: str, read_ahead: int):
+    """(request, build): build(j, count) checks the run run(j, count) and
+    keeps its slices until requested; request(j), memoised for the last
+    SLICE_CACHE slices, gives slice j as one read-only (n_sites, N, N) array
+    per kind, first building a run of read_ahead slices from j if needed."""
+    ahead = {}  # the last run's slices not yet requested
+
+    def build(j, count):
+        links = run(j, count)
+        _check_links(links, spec, j, kinds)
+        # a run uniform in x has one site: each slice is a stride-0 view of it
+        links = np.broadcast_to(links, links.shape[:2] + (spec.n_sites,) + links.shape[3:])
+        ahead.clear()
+        ahead.update((j + l, tuple(links[l])) for l in range(len(links)))
+
+    def request(j):
+        if j not in ahead:
+            build(j, read_ahead)
+        return ahead.pop(j)
+
+    return functools.lru_cache(SLICE_CACHE)(request), build
 
 
 class GaugeField:
     """The discrete gauge potential R = (P, Q): one U(N) matrix pair per
-    spacetime site.  slice_fn(j) gives (P_j, Q_j), each (n_sites, N, N); a
-    slice uniform in x is one matrix broadcast to that shape (stride 0 over
-    sites) and is validated once, not per site.  Built slices are read-only;
-    each instance memoises its last SLICE_CACHE and rebuilds evicted ones."""
+    spacetime site.  run(j, count) builds slices j .. j + count - 1 as links
+    of shape (count, 2, n_sites or 1, N, N), P then Q, one site for a run
+    uniform in x; each run gets one unitarity check per kind.  A request
+    that misses builds a run of read_ahead slices, prefetch one ahead of the
+    requests.  P(j), Q(j) are read-only, stride 0 over sites when uniform."""
 
-    def __init__(self, spec: LatticeSpec, dim: int, slice_fn):
+    def __init__(self, spec: LatticeSpec, dim: int, run, read_ahead: int = 1):
         self.spec = spec
         self.dim = dim
-
-        def build(j):
-            p, q = slice_fn(j)
-            return _validate_slice(p, spec, dim, j, "P"), _validate_slice(q, spec, dim, j, "Q")
-
-        self._slices = functools.lru_cache(SLICE_CACHE)(build)
+        self._slices, self._build = _memo(spec, run, "PQ", read_ahead)
 
     @classmethod
     def identity(cls, spec: LatticeSpec, dim: int) -> "GaugeField":
-        eye = np.broadcast_to(np.eye(dim, dtype=complex), (spec.n_sites, dim, dim))
-        return cls(spec, dim, lambda j: (eye, eye))
+        eye = np.eye(dim, dtype=complex)
+        return cls(spec, dim, lambda j, count: np.broadcast_to(eye, (count, 2, 1, dim, dim)))
 
     @classmethod
     def from_potentials(cls, b0, b1, spec: LatticeSpec, gens: GeneratorSet) -> "GaugeField":
@@ -165,67 +183,68 @@ class GaugeField:
         (b0 + b1)(t_j, x_p)).  b0 and b1 are coordinate functions of
         (t, x-array), sampled by sample_potential.
 
-        Slices are built a run at a time: from the requested slice j on, while
-        both samples are uniform in x, up to SLICE_CACHE slices or j_max, with
-        one exp_map and one unitarity check; each slice is a stride-0 view of
-        its own P and Q.  Slice j is sampled first, so its errors name t_j; a
-        later sample that is per-site or refused ends the run, and its slice
-        is built when requested.  A per-site slice is a run of one."""
+        A run samples slice j first, so its errors name t_j, and then the
+        following slices while both samples are uniform in x, up to its
+        count or j_max; a request reads RUN slices ahead.  A later sample that
+        is per-site or raises ends the run, and its slice is sampled again,
+        and built or refused, when requested.  A per-site slice is a run of one."""
         x = spec.positions()
-        shape = (spec.n_sites, gens.dim, gens.dim)
-        ahead = {}  # the last run's slices not yet requested
 
         def sample(j):
             t = spec.time(j)
             return sample_potential(b0, t, x, len(gens)), sample_potential(b1, t, x, len(gens))
 
-        def following(j):
-            """The samples after slice j's while both stay uniform in x."""
-            for k in range(j + 1, min(j + SLICE_CACHE, spec.j_max + 1)):
+        def run(j, count):
+            c0, c1 = sample(j)
+            samples = [(c0, c1)]
+            stop = min(j + count, spec.j_max + 1) if c0.ndim == c1.ndim == 1 else j + 1
+            for k in range(j + 1, stop):
                 try:
                     c0, c1 = sample(k)
-                except ValueError:
-                    return
+                except Exception:  # the run ends; slice k's own request raises it
+                    break
                 if c0.ndim != 1 or c1.ndim != 1:
-                    return
-                yield c0, c1
-
-        def build(j):
-            if j in ahead:
-                return ahead.pop(j)
-            c0, c1 = sample(j)
-            run = [(c0, c1)] + (list(following(j)) if c0.ndim == c1.ndim == 1 else [])
-            c0, c1 = np.array([c[0] for c in run]), np.array([c[1] for c in run])
+                    break
+                samples.append((c0, c1))
+            c0, c1 = np.array([c[0] for c in samples]), np.array([c[1] for c in samples])
             # (b0 - b1, b0 + b1) per slice of the run, at the larger sample shape
-            pair = np.empty((len(run), 2) + np.broadcast_shapes(c0.shape, c1.shape)[1:])
+            pair = np.empty((len(samples), 2) + np.broadcast_shapes(c0.shape, c1.shape)[1:])
             np.subtract(c0, c1, out=pair[:, 0])
             np.add(c0, c1, out=pair[:, 1])
             pair *= spec.epsilon
             # (run, 2, 1, N, N) or (1, 2, n_sites, N, N): the distinct links
-            links = exp_map(pair, gens).reshape(len(run), 2, -1, gens.dim, gens.dim)
-            _check_links(links, spec, j, "PQ")
-            links = np.broadcast_to(links, (len(run), 2) + shape)
-            ahead.clear()
-            ahead.update((j + l, (links[l, 0], links[l, 1])) for l in range(1, len(run)))
-            return links[0, 0], links[0, 1]
+            return exp_map(pair, gens).reshape(len(samples), 2, -1, gens.dim, gens.dim)
 
-        field = cls(spec, gens.dim, None)
-        field._slices = functools.lru_cache(SLICE_CACHE)(build)  # it checks its own runs
-        return field
+        return cls(spec, gens.dim, run, read_ahead=RUN)
 
     @classmethod
     def from_arrays(cls, spec: LatticeSpec, p_arr: np.ndarray, q_arr: np.ndarray) -> "GaugeField":
+        """P and Q given as arrays of shape (j_max + 1, n_sites, N, N).  When
+        both are broadcast over sites (stride 0), each slice is uniform in x."""
         p_arr = np.asarray(p_arr, dtype=complex)
         q_arr = np.asarray(q_arr, dtype=complex)
-        return cls(spec, p_arr.shape[-1], lambda j: (p_arr[j], q_arr[j]))
+        dim = p_arr.shape[-1]
+        want = (spec.j_max + 1, spec.n_sites, dim, dim)
+        if p_arr.shape != want or q_arr.shape != want:
+            raise DimensionError(f"P and Q arrays have shapes {p_arr.shape} and {q_arr.shape}, expected {want}")
+        sites = slice(1) if p_arr.strides[1] == q_arr.strides[1] == 0 else slice(None)
+        return cls(spec, dim, lambda j, count: np.stack((p_arr[j:j + count, sites], q_arr[j:j + count, sites]), 1))
 
     @classmethod
     def random(cls, spec: LatticeSpec, dim: int, seed: int, scale: float = 1.0) -> "GaugeField":
         """Random field: slice j is (P, Q) = exp_map of Gaussian u(N)
-        coordinates drawn from the counter-based stream of _random_slices
+        coordinates drawn from the counter-based stream of _random_run
         (tag 0), deterministic per (seed, j), so slices can be dropped and
-        rebuilt identically, in any order."""
-        return cls(spec, dim, _random_slices(spec, dim, seed, 0, scale, (2,)))
+        rebuilt identically, in any order and in runs of any length."""
+        return cls(spec, dim, _random_run(spec, dim, seed, 0, scale, 2))
+
+    def prefetch(self, j: int, count: int) -> None:
+        """Build slices j .. j + count - 1, clipped at j_max, as one run
+        ahead of their requests (from_potentials may end it sooner).  A j
+        outside [0, j_max] builds nothing; its request raises."""
+        count = min(count, self.spec.j_max + 1 - j)
+        if j >= 0 and count > 0:
+            self._build(j, count)
 
     def P(self, j: int) -> np.ndarray:
         _check_time_index(self.spec, j)
@@ -237,25 +256,27 @@ class GaugeField:
 
 
 class GaugeTransformation:
-    """A lattice of U(N) matrices G_{j,p}."""
+    """A lattice of U(N) matrices G_{j,p}, j = 0 .. j_max + 1.  run(j, count)
+    gives slices j .. j + count - 1 of shape (count, 1, n_sites or 1, N, N),
+    built and memoised as GaugeField's are."""
 
-    def __init__(self, spec: LatticeSpec, dim: int, slice_fn):
+    def __init__(self, spec: LatticeSpec, dim: int, run):
         self.spec = spec
         self.dim = dim
-        self._slices = functools.lru_cache(SLICE_CACHE)(lambda j: _validate_slice(slice_fn(j), spec, dim, j, "G"))
+        self._slices, _ = _memo(spec, run, "G", 1)
 
     @classmethod
     def random(cls, spec: LatticeSpec, dim: int, seed: int, scale: float = 1.0) -> "GaugeTransformation":
         """Random transformation: G_j = exp_map of Gaussian u(N) coordinates
-        from the counter-based stream of _random_slices (tag 7), deterministic
+        from the counter-based stream of _random_run (tag 7), deterministic
         per (seed, j) and distinct from the field drawn with the same seed."""
-        return cls(spec, dim, _random_slices(spec, dim, seed, 7, scale, ()))
+        return cls(spec, dim, _random_run(spec, dim, seed, 7, scale, 1))
 
     def G(self, j: int) -> np.ndarray:
         # transforming slice j_max of a field needs G on slice j_max + 1
         if not 0 <= j <= self.spec.j_max + 1:
             raise SiteRangeError(f"time index {j} outside [0, {self.spec.j_max + 1}]")
-        return self._slices(j)
+        return self._slices(j)[0]
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
@@ -271,12 +292,14 @@ def transform_potentials(field_: GaugeField, g: GaugeTransformation) -> GaugeFie
     sites = np.arange(field_.spec.n_sites)
     right, left = np.roll(sites, -1), np.roll(sites, 1)
 
-    def build(j):
-        g_up = g.G(j + 1)
-        g_inv = _dagger(g.G(j))
-        return g_up @ field_.P(j) @ g_inv[right], g_up @ field_.Q(j) @ g_inv[left]
+    def run(j, count):
+        js = range(j, j + count)
+        g_up = np.array([g.G(k + 1) for k in js])
+        g_inv = _dagger(np.array([g.G(k) for k in js]))
+        p, q = np.array([field_.P(k) for k in js]), np.array([field_.Q(k) for k in js])
+        return np.stack((g_up @ p @ g_inv[:, right], g_up @ q @ g_inv[:, left]), 1)
 
-    return GaugeField(field_.spec, field_.dim, build)
+    return GaugeField(field_.spec, field_.dim, run)
 
 
 def holonomy_u(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import GaugeField, GaugeTransformation, LatticeSpec, uniform_in_x
+from .lattice import RUN, GaugeField, GaugeTransformation, LatticeSpec, uniform_in_x
 from .unitary import DimensionError
 
 
@@ -136,9 +136,14 @@ def step(state: WalkState, field: GaugeField, config: WalkConfig) -> WalkState:
 
 
 def evolve(state: WalkState, field: GaugeField, config: WalkConfig, steps: int) -> WalkState:
+    """`steps` walk steps from state.  Before each lattice.RUN steps the
+    field builds the slices they read as one run (GaugeField.prefetch); the
+    steps are step's, so the final state is a step loop's, bit for bit."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    for _ in range(steps):
+    for done in range(steps):
+        if done % RUN == 0:
+            field.prefetch(state.j, min(RUN, steps - done))
         state = step(state, field, config)
     return state
 

@@ -14,6 +14,7 @@ from gaugewalk import experiments as ex
 from gaugewalk import lattice as lat
 from gaugewalk import unitary as un
 from gaugewalk import walker as wk
+from references import constant_field
 
 
 class TestExperimentConfig:
@@ -236,7 +237,7 @@ def test_non_finite_slice_is_an_invariant_violation(capsys):
     good = np.broadcast_to(np.eye(2, dtype=complex), (spec.n_sites, 2, 2))
     nan = np.array(good)
     nan[1, 0, 0] = np.nan
-    f = lat.GaugeField(spec, 2, lambda j: (nan, good))
+    f = constant_field(spec, nan, good)
     assert cli.report_failures(lambda: f.P(0)) == 2
     assert capsys.readouterr().err == f"invariant violation: non-finite P entry at j=0, p={1 - spec.p_max}\n"
 

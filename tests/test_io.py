@@ -117,6 +117,28 @@ class TestStateCsv:
             im0 = float(row["im_0"])
             assert complex(re0, im0) == state.amplitudes[i, 0]
 
+    @pytest.mark.parametrize("origin", ["walk", "dirac"])
+    def test_bytes_equal_a_csv_writer_reference(self, tmp_path, origin):
+        values = np.array([[-0.0 + 5e-324j, 1e300 - 1.5j],
+                           [0.1 - 0.0j, -2.5e-10 + 1e-300j],
+                           [1 / 3 + 2j / 3, -1e300 + 7j]])
+        positions = np.array([-0.0, 5e-324, 1e300])
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["p", "x_p", "re_0", "im_0", "re_1", "im_1", "prob", "origin"])
+            for p, x, row, prob in zip((-1, 0, 1), positions, values, wk.row_probabilities(values)):
+                parts = [float(v) for z in row for v in (z.real, z.imag)]
+                w.writerow([p, repr(float(x)), *map(repr, parts), repr(float(prob)), origin])
+        got = tmp_path / "got.csv"
+        gio.write_state_csv(got, positions, values, origin)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_refuses_an_unknown_origin(self, tmp_path):
+        state = make_state()
+        with pytest.raises(ValueError, match="origin must be"):
+            gio.write_state_csv(tmp_path / "state.csv", state.spec.positions(), state.amplitudes, "other")
+
 
 class TestGaugeCsv:
     def test_gauge_field_rows(self, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gaugewalk import lattice as lat
 from gaugewalk import unitary as un
-from references import su2_closed_form
+from references import constant_field, constant_transformation, field_sources, su2_closed_form
 
 
 def small_spec(eps=0.1, p_max=5, j_max=8):
@@ -104,7 +104,7 @@ class TestGaugeField:
     def test_rejects_non_unitary_slice(self):
         spec = small_spec()
         bad = np.full((spec.n_sites, 1, 1), 2.0, dtype=complex)
-        f = lat.GaugeField(spec, 1, lambda j: (bad, bad))
+        f = constant_field(spec, bad, bad)
         with pytest.raises(ValueError):
             f.P(0)
 
@@ -115,13 +115,13 @@ class TestGaugeField:
         spec = small_spec()
         good = np.broadcast_to(np.eye(2, dtype=complex), (spec.n_sites, 2, 2))
         bad = 1.01 * (good if uniform else np.array(good))
-        f = lat.GaugeField(spec, 2, lambda j: (good, bad))
+        f = constant_field(spec, good, bad)
         with pytest.raises(un.UnitarityError, match=r"^Q slice j=0 not unitary"):
             f.Q(0)
         nan = np.array(good)
         nan[1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite P entry") as info:
-            lat.GaugeField(spec, 2, lambda j: (nan, good)).P(0)
+            constant_field(spec, nan, good).P(0)
         assert isinstance(info.value, un.UnitarityError)
 
     @settings(max_examples=25, deadline=None)
@@ -189,22 +189,22 @@ class TestGaugeField:
         bad[1, 0] = np.nan
         eye = np.broadcast_to(np.eye(2, dtype=complex), shape)
         with pytest.raises(ValueError, match="not unitary"):
-            lat.GaugeField(spec, 2, lambda j: (scaled, eye)).P(0)
+            constant_field(spec, scaled, eye).P(0)
         with pytest.raises(ValueError, match="non-finite Q entry"):
-            lat.GaugeField(spec, 2, lambda j: (eye, np.broadcast_to(bad, shape))).P(0)
+            constant_field(spec, eye, np.broadcast_to(bad, shape)).P(0)
         with pytest.raises(ValueError, match="non-finite G entry"):
-            lat.GaugeTransformation(spec, 2, lambda j: np.broadcast_to(bad, shape)).G(0)
+            constant_transformation(spec, np.broadcast_to(bad, shape)).G(0)
         # a per-site slice is checked at every site, not only the first
         one_bad = eye.copy()
         one_bad[-1] *= 2
         with pytest.raises(ValueError, match="not unitary"):
-            lat.GaugeTransformation(spec, 2, lambda j: one_bad).G(0)
+            constant_transformation(spec, one_bad).G(0)
         # a non-finite entry fails the unitarity test and is named by site
         for value in (np.inf, np.nan):
             at_site = eye.copy()
             at_site[-1, 0, 1] = value
             with pytest.raises(ValueError, match=f"^non-finite P entry at j=0, p={spec.p_max}$"):
-                lat.GaugeField(spec, 2, lambda j: (at_site, eye)).P(0)
+                constant_field(spec, at_site, eye).P(0)
 
     def test_potential_samples_checked(self):
         spec = small_spec()
@@ -246,7 +246,7 @@ class TestPotentialRuns:
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_slice_equals_its_build_alone_at_any_offset_in_a_run(self, dim):
-        spec = long_spec()  # two runs from slice 0, the second clipped at j_max
+        spec = long_spec()  # three runs from slice 0, the third clipped at j_max
         b0, b1, gens = smooth_potentials(dim)
         per_site = lambda c, x: np.tile(c, (len(x), 1))
 
@@ -258,12 +258,12 @@ class TestPotentialRuns:
 
         from_zero = lat.GaugeField.from_potentials(b0, b1, spec, gens)
         from_five = lat.GaugeField.from_potentials(b0, b1, spec, gens)
-        from_five.P(5)  # a run of slices 5 .. 5 + SLICE_CACHE - 1
-        edges = {0, 1, 37, lat.SLICE_CACHE - 1, lat.SLICE_CACHE, spec.j_max - 1, spec.j_max}
+        from_five.P(5)  # a run of slices 5 .. 5 + RUN - 1
+        edges = {0, 1, 37, lat.RUN - 1, lat.RUN, 2 * lat.RUN - 1, 2 * lat.RUN, spec.j_max - 1, spec.j_max}
         for j in sorted(edges):
             want = alone(j)
             assert all(np.array_equal(a, b) for a, b in zip((from_zero.P(j), from_zero.Q(j)), want))
-        for j in (5, 6, lat.SLICE_CACHE + 4):
+        for j in (5, 6, lat.RUN + 4, lat.RUN + 5):
             want = alone(j)
             got = (from_five.P(j), from_five.Q(j))
             assert all(np.array_equal(a, b) and a.strides[0] == 0 and not a.flags.writeable
@@ -324,7 +324,7 @@ class TestPotentialRuns:
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_one_exp_map_and_one_check_per_run(self, monkeypatch, dim):
-        spec = small_spec(p_max=3, j_max=2 * lat.SLICE_CACHE + 5)
+        spec = small_spec(p_max=3, j_max=4 * lat.RUN + 5)
         b0, b1, gens = smooth_potentials(dim)
         calls = {"exp_map": [], "unitarity_defect": []}
         for name, counted in calls.items():
@@ -335,8 +335,9 @@ class TestPotentialRuns:
         field = lat.GaugeField.from_potentials(b0, b1, spec, gens)
         for j in range(spec.j_max + 1):
             field.P(j), field.Q(j)
-        runs = [lat.SLICE_CACHE, lat.SLICE_CACHE, spec.j_max + 1 - 2 * lat.SLICE_CACHE]
-        assert calls == {"exp_map": runs, "unitarity_defect": runs}
+        runs = [lat.RUN] * 4 + [6]
+        # one check of P, then one of Q, per run
+        assert calls == {"exp_map": runs, "unitarity_defect": [n for n in runs for _ in "PQ"]}
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_an_evicted_run_rebuilds_identical_slices(self, dim):
@@ -372,12 +373,105 @@ class TestPotentialRuns:
         assert counts == {"exp_map": spec.j_max + 4, "unitarity_defect": 2 * (spec.j_max + 1) + 9}
 
 
+class TestRuns:
+    """Every source builds a run of slices at once: the same slices as one
+    at a time, with one exp_map and one check per link kind."""
+
+    DIMS = [1, 2, 3, 4]
+    SOURCES = list(field_sources(small_spec(), 1))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_a_slice_is_the_same_alone_or_in_a_run(self, dim, source):
+        spec = small_spec(p_max=3, j_max=lat.RUN + 9)
+        make = field_sources(spec, dim, seed=dim)[source]
+        from_zero, from_five = make(), make()
+        from_zero.prefetch(0, lat.RUN)
+        from_zero.prefetch(lat.RUN, lat.RUN)  # clipped at j_max
+        from_five.prefetch(5, lat.RUN)
+        for run, js in ((from_zero, (0, 1, lat.RUN - 1, lat.RUN, spec.j_max - 1, spec.j_max)),
+                        (from_five, (5, lat.RUN + 4))):
+            for j in js:
+                alone = make()
+                alone.prefetch(j, 1)
+                got, want = (run.P(j), run.Q(j)), (alone.P(j), alone.Q(j))
+                assert all(np.array_equal(a, b) and not a.flags.writeable for a, b in zip(got, want))
+                assert [lat.uniform_in_x(a) for a in got] == [lat.uniform_in_x(b) for b in want]
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_a_random_transformation_slice_is_the_same_in_a_run(self, dim):
+        spec = small_spec(p_max=3, j_max=lat.RUN + 9)
+        run = lat._random_run(spec, dim, 3, 7, 0.7, 1)
+        whole = run(2, spec.j_max - 1)  # slices 2 .. j_max + 1
+        g = lat.GaugeTransformation.random(spec, dim, 3, scale=0.7)
+        for l in (0, 1, lat.RUN - 1, len(whole) - 1):
+            assert np.array_equal(whole[l, 0], run(2 + l, 1)[0, 0])
+            assert np.array_equal(whole[l, 0], g.G(2 + l))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_prefetch_clips_at_j_max_and_builds_nothing_outside(self, monkeypatch, dim):
+        spec = small_spec(p_max=3, j_max=12)
+        field = lat.GaugeField.random(spec, dim, seed=1)
+        runs = []
+
+        def counting(coords, gens, _fn=lat.exp_map):
+            runs.append(len(coords))
+            return _fn(coords, gens)
+
+        monkeypatch.setattr(lat, "exp_map", counting)
+        field.prefetch(-1, 5)
+        field.prefetch(spec.j_max + 1, 5)
+        field.prefetch(spec.j_max - 2, lat.RUN)
+        assert runs == [3]
+        for j in range(spec.j_max - 2, spec.j_max + 1):
+            field.P(j)
+        assert runs == [3]  # the requests found their slices built
+        with pytest.raises(lat.SiteRangeError):
+            field.P(spec.j_max + 1)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("kind", [0, 1])
+    @pytest.mark.parametrize("value", [1.01, np.nan])
+    def test_a_bad_array_slice_in_a_prefetched_run_names_its_slice_and_kind(self, dim, kind, value):
+        spec = small_spec(j_max=lat.RUN + 4)
+        eye = np.broadcast_to(np.eye(dim, dtype=complex), (spec.j_max + 1, spec.n_sites, dim, dim))
+        links = [np.array(eye), np.array(eye)]
+        links[kind][7, 2, 0, 0] *= value
+        links[1 - kind][9, 0, 0, 0] = np.nan  # a later bad link of the other kind
+        field = lat.GaugeField.from_arrays(spec, *links)
+        what = "PQ"[kind]
+        message = (f"^{what} slice j=7 not unitary" if value == 1.01
+                   else f"^non-finite {what} entry at j=7, p={2 - spec.p_max}$")
+        with pytest.raises(un.UnitarityError, match=message):
+            field.prefetch(2, lat.RUN)
+        # the step loop's requests raise the same error at the same slice
+        for j in range(7):
+            field.P(j), field.Q(j)
+        with pytest.raises(un.UnitarityError, match=message):
+            field.P(7)
+
+    @pytest.mark.parametrize("through_prefetch", [False, True])
+    def test_a_raising_sample_later_in_a_run_fails_only_its_own_slice(self, through_prefetch):
+        spec = small_spec(eps=0.1, j_max=12)
+        gens = un.generators_u(1)
+        # 1 / (t - 0.5) raises ZeroDivisionError at t_5 = 0.5
+        field = lat.GaugeField.from_potentials(lambda t, x: np.array([0.01 / (t - 0.5)]),
+                                               lambda t, x: np.array([t]), spec, gens)
+        if through_prefetch:
+            field.prefetch(0, 10)
+        for j in range(5):
+            field.P(j)
+        with pytest.raises(ZeroDivisionError):
+            field.P(5)
+        field.P(6)
+
+
 class TestGaugeTransformation:
     def test_identity_transform_fixes_field(self):
         spec = small_spec()
         f = lat.GaugeField.random(spec, 2, seed=4)
         eye = np.broadcast_to(np.eye(2, dtype=complex), (spec.n_sites, 2, 2))
-        g = lat.GaugeTransformation(spec, 2, lambda j: eye)
+        g = constant_transformation(spec, eye)
         ft = lat.transform_potentials(f, g)
         assert np.max(np.abs(ft.P(3) - f.P(3))) <= 1e-14
 
@@ -385,7 +479,8 @@ class TestGaugeTransformation:
         spec = small_spec()
         f = lat.GaugeField.random(spec, 3, seed=5)
         g = lat.GaugeTransformation.random(spec, 3, seed=6)
-        g_inv = lat.GaugeTransformation(spec, 3, lambda j: np.swapaxes(g.G(j).conj(), -1, -2))
+        g_inv = lat.GaugeTransformation(spec, 3, lambda j, count: np.array(
+            [[np.swapaxes(g.G(k).conj(), -1, -2)] for k in range(j, j + count)]))
         back = lat.transform_potentials(lat.transform_potentials(f, g), g_inv)
         for j in (0, 4, spec.j_max):
             assert np.max(np.abs(back.P(j) - f.P(j))) <= 1e-12
@@ -623,9 +718,9 @@ class TestFactorizationCheck:
         # at j reads slices j-1 .. j+1
         spec = small_spec()
         eye = np.broadcast_to(np.eye(2, dtype=complex), (spec.n_sites, 2, 2))
-        flipped = eye.copy()
-        flipped[-1] = np.diag([1.0, -1.0])
-        f = lat.GaugeField(spec, 2, lambda j: (flipped if j == 3 else eye, eye))
+        p = np.array(np.broadcast_to(eye, (spec.j_max + 1,) + eye.shape))
+        p[3, -1] = np.diag([1.0, -1.0])
+        f = lat.GaugeField.from_arrays(spec, p, np.broadcast_to(eye, p.shape))
         assert [lat.curvature_factorization_check(f, j, 0)[1] for j in range(1, 6)] == \
             [False, True, True, True, False]
 

@@ -11,7 +11,7 @@ from gaugewalk import experiments as ex
 from gaugewalk import lattice as lat
 from gaugewalk import unitary as un
 from gaugewalk import walker as wk
-from references import random_unitary, su2_closed_form
+from references import constant_field, constant_transformation, field_sources, random_unitary, su2_closed_form
 
 
 def spec_and_identity(dim=2, eps=0.1, p_max=5, j_max=8):
@@ -150,7 +150,7 @@ def _fields(spec, dim, seed):
     shape = (spec.n_sites, dim, dim)
     p, q, g = (np.broadcast_to(random_unitary(dim, rng), shape) for _ in range(3))
     return [(lat.GaugeField.random(spec, dim, seed), lat.GaugeTransformation.random(spec, dim, seed + 1)),
-            (lat.GaugeField(spec, dim, lambda j: (p, q)), lat.GaugeTransformation(spec, dim, lambda j: g))]
+            (constant_field(spec, p, q), constant_transformation(spec, g))]
 
 
 class TestKernelsMatchEinsum:
@@ -226,7 +226,7 @@ class TestUniformPath:
         one = np.broadcast_to(random_unitary(dim, rng), (spec.n_sites, dim, dim))
         sites = np.array([random_unitary(dim, rng) for _ in range(spec.n_sites)])
         p, q = (one, sites) if uniform_p else (sites, one)
-        field = lat.GaugeField(spec, dim, lambda j: (p, q))
+        field = constant_field(spec, p, q)
         state = random_state(spec, dim, seed + 1, j=2)
         got = wk.step(state, field, wk.WalkConfig(dim, theta))
         assert np.array_equal(got.amplitudes, _per_site_formula(state, p, q, theta))
@@ -258,6 +258,49 @@ class TestEvolve:
         state = random_state(spec, 2, seed=2)
         with pytest.raises(ValueError):
             wk.evolve(state, field, wk.WalkConfig(2, 0.1), -1)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("source", list(field_sources(lat.LatticeSpec(0.1, 3, 4), 1)))
+    def test_evolve_is_a_step_loop_bit_for_bit(self, dim, source):
+        spec = lat.LatticeSpec(0.1, 3, 2 * lat.RUN + 9)
+        make = field_sources(spec, dim, seed=dim)[source]
+        state, cfg = random_state(spec, dim, seed=dim, j=3), wk.WalkConfig(dim, 0.4)
+        steps = 2 * lat.RUN + 5  # two whole runs and a short one
+        got = wk.evolve(state, make(), cfg, steps)
+        field, want = make(), state
+        for _ in range(steps):
+            want = wk.step(want, field, cfg)
+        assert got.j == want.j == 3 + steps
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_evolve_past_j_max_raises_the_step_loops_error(self, dim):
+        spec = lat.LatticeSpec(0.1, 3, lat.RUN + 3)
+        state, cfg = random_state(spec, dim, seed=3, j=2), wk.WalkConfig(dim, 0.4)
+        field = lat.GaugeField.random(spec, dim, seed=2)
+        with pytest.raises(lat.SiteRangeError) as looped:
+            for _ in range(lat.RUN + 5):
+                state = wk.step(state, field, cfg)
+        assert state.j == spec.j_max + 1
+        state = random_state(spec, dim, seed=3, j=2)
+        with pytest.raises(lat.SiteRangeError) as evolved:
+            wk.evolve(state, lat.GaugeField.random(spec, dim, seed=2), cfg, lat.RUN + 5)
+        assert str(evolved.value) == str(looped.value) == f"time index {spec.j_max + 1} outside [0, {spec.j_max}]"
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_a_random_field_makes_one_exp_map_and_two_checks_per_run(self, monkeypatch, dim):
+        spec = lat.LatticeSpec(0.1, 3, 2 * lat.RUN + 10)
+        calls = {"exp_map": [], "unitarity_defect": []}
+        for name, counted in calls.items():
+            def counter(m, *args, _fn=getattr(lat, name), _calls=counted):
+                _calls.append(len(m))
+                return _fn(m, *args)
+            monkeypatch.setattr(lat, name, counter)
+        field = lat.GaugeField.random(spec, dim, seed=1)
+        wk.evolve(random_state(spec, dim, seed=1), field, wk.WalkConfig(dim, 0.4), 2 * lat.RUN + 5)
+        runs = [lat.RUN, lat.RUN, 5]
+        # one check of P, then one of Q, per run
+        assert calls == {"exp_map": runs, "unitarity_defect": [n for n in runs for _ in "PQ"]}
 
 
 class TestGaugeCovariance:
