@@ -32,11 +32,10 @@ def _add_overrides(sub: argparse.ArgumentParser) -> None:
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The --config file's fields, overridden by the flags given."""
-    flags = {name: getattr(args, name, None) for name in (
-        "epsilons", "e_ym", "mass", "sigma", "k0", "g", "theta", "dim", "x_max", "t_max", "seed", "output_dir")}
-    return ExperimentConfig.from_json(args.config or None, experiment=args.experiment,
-                                      **{k: v for k, v in flags.items() if v is not None})
+    """The --config file's fields, overridden by every flag given: each
+    option's dest is the config field it sets."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("experiment", "config") and v is not None}
+    return ExperimentConfig.from_json(args.config or None, experiment=args.experiment, **flags)
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -3,15 +3,16 @@ pseudo-spectral in space, second-order Runge-Kutta in time.
 
 A SpinorField holds either point values on the grid or their DFT
 coefficients (its `spectral` flag).  `solve` always marches the
-coefficients.  The gauge potential may be uniform in x or given per point,
-and may change between the two at any t: a uniform potential acts mode by
-mode and needs no FFT per step, a per-point one acts on point values, with
-one FFT out and one back per right-hand side.
+coefficients.  A potential uniform in x acts mode by mode and needs no FFT
+per step, a per-point one acts on point values, with one FFT out and one
+back per right-hand side.
 
-While the potential is uniform in x no two modes couple, so `solve` marches
-only the packet's Fourier band: the coefficient rows |m| <= M that hold
-every row above BAND_CUTOFF of the largest, as a grid of 2M + 1 points with
-the caller's period and x_min, whose modes are the caller's modes |m| <= M.
+`solve` chooses its march once, from the potential's t = 0 sample.  For one
+uniform in x, no two modes couple, and it marches only the packet's Fourier
+band: the coefficient rows |m| <= M that hold every row above BAND_CUTOFF of
+the largest, as a grid of 2M + 1 points with the caller's period and x_min.
+Such a potential must stay uniform; one per point at t = 0 is marched on
+the caller's whole grid and may take either shape later.
 
 Each grid keeps, once per N, the derivative symbol ik and the chirality sign
 (+1 on psi^-, -1 on psi^+) tiled to a spinor's (n, 2N) shape
@@ -26,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import LatticeSpec, sample_potential
+from .lattice import LatticeSpec, sample_potential, sample_potentials
 from .unitary import DimensionError, GeneratorSet
 
 # coefficient rows at or below this fraction of the largest row are left out
@@ -151,9 +152,9 @@ def spectral_derivative(f: SpinorField) -> SpinorField:
 @dataclass(frozen=True)
 class DiracParams:
     """mass plus coordinate functions b0, b1: (t, x-array) -> coordinates of
-    the gauge potential in the generator basis, checked by
-    lattice.sample_potential; (count,) means uniform in x, (n, count) one
-    per point, and the shape may change with t."""
+    the gauge potential, read as a pair by lattice.sample_potentials;
+    (count,) means uniform in x, (n, count) one per point.  solve takes the
+    potential as its t = 0 sample is: uniform at every t, or per point."""
 
     mass: float
     b0: object
@@ -165,23 +166,17 @@ class DiracParams:
             raise ValueError(f"mass must be >= 0 and finite, got {self.mass!r}")
 
     def potential_matrices(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(B0, B1) at time t: one matrix each for a uniform sample, one per
-        point otherwise."""
-        gens = self.gens
-        c0 = sample_potential(self.b0, t, x, len(gens))
-        c1 = sample_potential(self.b1, t, x, len(gens))
-        if c0.shape != c1.shape:
-            return gens.assemble(c0), gens.assemble(c1)
+        """(B0, B1) at time t, of one shape: one matrix each when both samples
+        are uniform in x, one per point otherwise."""
         # both samples in one assemble: its rows are computed independently
-        b = gens.assemble(np.array((c0, c1)))
+        b = self.gens.assemble(np.array(sample_potentials(self.b0, self.b1, t, x, len(self.gens))))
         return b[0], b[1]
 
 
 def coupling_matrix(b0: np.ndarray, b1: np.ndarray, mass: float) -> np.ndarray:
     """i [[B0 - B1, -m], [-m, B0 + B1]]: the non-derivative part of the Dirac
-    generator, (2N,2N) for uniform potentials or (n,2N,2N) per point."""
-    n = b0.shape[-1]
-    lead = b0.shape[:-2] if b0.shape == b1.shape else np.broadcast_shapes(b0.shape, b1.shape)[:-2]
+    generator, from B0, B1 of one shape: (2N,2N) uniform, (n,2N,2N) per point."""
+    n, lead = b0.shape[-1], b0.shape[:-2]
     c = np.zeros(lead + (2 * n, 2 * n), dtype=complex)
     np.subtract(b0, b1, out=c[..., :n, :n])
     np.add(b0, b1, out=c[..., n:, n:])
@@ -267,20 +262,18 @@ def gaussian_packet(k0: float, sigma: float, color: np.ndarray, grid: SpectralGr
     return SpinorField(grid, dim, values / norm)
 
 
-class _PerPoint(Exception):
-    """A potential sample is per point: the band march has to stop."""
-
-
 def _band(full: SpinorField, params: DiracParams):
     """The band march's start: the rows |m| <= M of the coefficients `full`
     on a grid of 2M + 1 points with full's period and x_min, and params with
     b0, b1 sampled on full's points.  M is the largest |m| of a row above
     BAND_CUTOFF of the largest row, and at least 4 (a grid has 8 points or
-    more).  None when that grid would not be smaller than full's, or full is
-    not finite.  A sample other than one coordinate vector raises _PerPoint,
-    so a per-point coupling never reaches the band grid."""
+    more).  None when the t = 0 sample of the potential is per point, that
+    grid would not be smaller than full's, or full is not finite.  A later
+    per-point sample raises DimensionError naming its t, so a per-point
+    coupling never reaches the band grid."""
     values, n = full.values, full.grid.n_points
-    if not np.isfinite(values).all():
+    x, count = full.grid.positions(), len(params.gens)
+    if not np.isfinite(values).all() or sample_potentials(params.b0, params.b1, 0.0, x, count)[0].ndim == 2:
         return None
     weight = np.max(np.abs(values), axis=1)
     rows = np.flatnonzero(weight > BAND_CUTOFF * weight.max())
@@ -288,13 +281,14 @@ def _band(full: SpinorField, params: DiracParams):
     if 2 * m + 1 >= n:
         return None
     grid = SpectralGrid(2 * m + 1, full.grid.x_min, full.grid.length / (2 * m + 1))
-    x, count = full.grid.positions(), len(params.gens)
 
     def on_caller_grid(fn):
         def sample(t, _):
             coords = np.asarray(fn(t, x), dtype=float)
             if coords.shape != (count,):
-                raise _PerPoint
+                sample_potential(fn, t, x, count)  # refuses a sample of no valid shape
+                raise DimensionError(f"potential sample at t={t:.6g} is per point but was uniform in x "
+                                     "at t = 0, so solve marches the band; return it per point at every t")
             return coords
         return sample
 
@@ -318,10 +312,10 @@ def solve(initial: SpinorField, params: DiracParams, t_max: float, dt: float) ->
     exactly on t_max); aborts with NumericalAbort on non-finite values.
 
     The march runs on the Fourier coefficients, with one transform in and
-    one out, and on the packet's band only (see _band) while the potential
-    is uniform in x.  The first per-point sample (see dirac_rhs) pads the
-    state to the caller's grid, which redoes that step and the rest.  The
-    caller receives an x-space field on its own grid."""
+    one out.  It is chosen once, from the potential's t = 0 sample: on the
+    packet's band only (see _band) for a sample uniform in x, on the
+    caller's whole grid otherwise.  The caller receives an x-space field on
+    its own grid."""
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not 0 <= t_max < np.inf:
@@ -333,11 +327,7 @@ def solve(initial: SpinorField, params: DiracParams, t_max: float, dt: float) ->
     t = 0.0
     while t < t_max - 1e-12:
         h = min(dt, t_max - t)
-        try:
-            f = rk2_step(f, march, t, h)
-        except _PerPoint:
-            f, march = _padded(f, full.grid), params
-            continue
+        f = rk2_step(f, march, t, h)
         t += h
         if not np.isfinite(f.values).all():
             raise NumericalAbort(t)

@@ -73,8 +73,9 @@ class ExperimentConfig:
         # generic_su2_potentials; only gauge-check reads dim
         if self.experiment in ("convergence", "trajectory", "evolve", "curvature-check") and self.dim != 2:
             raise ConfigError(f"the {self.experiment} experiment runs on an SU(2) field; it needs dim = 2")
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
+        for name in ("sigma", "dirac_dt"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
         if not isinstance(self.epsilons, (list, tuple)):
             raise ConfigError("epsilons must be a list of positive finite numbers")
         if not all(_is_number(e) and e > 0 for e in self.epsilons):
@@ -179,6 +180,7 @@ def _shared_initial_condition(cfg: ExperimentConfig, spec: lattice.LatticeSpec):
 
 
 def _output_dir(cfg: ExperimentConfig) -> Path:
+    """--out, made before any compute so that an unusable one fails first."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -199,6 +201,7 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
     """Evolve the same packet through the walk and through the Dirac solver on
     the SU(2) electric-field background, one leg per epsilon, and fit the
     log-log slope of the mean relative difference of psi^-."""
+    out = _output_dir(cfg)
     gens = unitary.generators_u(2)
     b0, b1 = su2_electric_potentials(cfg.e_ym)
     params = dirac.DiracParams(cfg.mass, b0, b1, gens)
@@ -232,7 +235,6 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
         )
         running.append(s)
 
-    out = _output_dir(cfg)
     csv_path = out / "convergence.csv"
     io.write_convergence_csv(csv_path, eps_arr, deltas_re, deltas_im, running)
     summary = {
@@ -254,6 +256,7 @@ def run_trajectory(cfg: ExperimentConfig) -> dict:
     aligned-isospin Wong closed form with matched (x0, p0 = k0)."""
     if cfg.mass <= 0:
         raise ConfigError("mass must be positive: the trajectory comparison needs m > 0")
+    out = _output_dir(cfg)
     eps = cfg.epsilon
     spec = _lattice_for(cfg, eps)
     gens = unitary.generators_u(2)
@@ -277,7 +280,6 @@ def run_trajectory(cfg: ExperimentConfig) -> dict:
         xbar.append(xw)
         xcl.append(xc)
 
-    out = _output_dir(cfg)
     csv_path = out / "trajectory.csv"
     io.write_trajectory_csv(csv_path, times, xbar, xcl, cfg.e_ym)
     io.write_manifest(out, cfg.to_dict(), [csv_path])
@@ -329,6 +331,7 @@ def gauge_check_residuals(dim: int, spec: lattice.LatticeSpec, seed: int, steps:
 
 
 def run_gauge_check(cfg: ExperimentConfig, trials: int = 20, tol: float = 1e-10) -> dict:
+    out = _output_dir(cfg)
     spec = lattice.LatticeSpec(0.1, 8, 52)
     worst: dict[str, float] = {}
     for trial in range(trials):
@@ -337,7 +340,6 @@ def run_gauge_check(cfg: ExperimentConfig, trials: int = 20, tol: float = 1e-10)
             worst[key] = max(worst.get(key, 0.0), val)
     report = {"dim": cfg.dim, "trials": trials, "residuals": worst, "tolerance": tol,
               "passed": all(v <= tol for v in worst.values())}
-    out = _output_dir(cfg)
     path = io.write_json(out / "gauge_check.json", report)
     io.write_manifest(out, cfg.to_dict(), [path])
     if not report["passed"]:
@@ -373,6 +375,7 @@ def run_curvature_check(cfg: ExperimentConfig) -> dict:
     """Halving table for the curvature remainder on a generic noncommuting
     field, plus the electric-field F10 extraction and the N=1 Abelian
     pipeline cross-check."""
+    out = _output_dir(cfg)
     epsilons = [0.2, 0.1, 0.05, 0.025]
     generic = curvature_order_table(*generic_su2_potentials(), epsilons)
     electric = curvature_order_table(*su2_electric_potentials(cfg.e_ym), epsilons)
@@ -384,7 +387,6 @@ def run_curvature_check(cfg: ExperimentConfig) -> dict:
         "abelian_pipeline_residual": abelian,
         "observed_order": min(generic["orders"]),
     }
-    out = _output_dir(cfg)
     path = io.write_json(out / "curvature_check.json", report)
     io.write_manifest(out, cfg.to_dict(), [path])
     if report["observed_order"] < 2.5:
@@ -411,6 +413,7 @@ def abelian_consistency_residual(seed: int) -> float:
 
 def run_evolve(cfg: ExperimentConfig) -> dict:
     """Evolve a packet on the SU(2) electric field and dump the final state."""
+    out = _output_dir(cfg)
     eps = cfg.epsilon
     spec = _lattice_for(cfg, eps)
     gens = unitary.generators_u(2)
@@ -420,7 +423,6 @@ def run_evolve(cfg: ExperimentConfig) -> dict:
     state = walker.evolve(state, field_, _walk_config(cfg, eps), cfg.lattice_size(eps)[1])
     drift = abs(walker.total_probability(state) - pi0)
 
-    out = _output_dir(cfg)
     csv_path = out / "state.csv"
     ckpt_path = out / "state.ckpt"
     io.write_state_csv(csv_path, spec.positions(), state.amplitudes, "walk")

@@ -31,7 +31,7 @@ class SiteRangeError(IndexError):
 SLICE_CACHE = 64
 # Slices one run builds, for every source: walker.evolve prefetches the
 # slices of its steps RUN at a time, and from_potentials reads RUN slices
-# ahead while its samples stay uniform in x.
+# ahead while its samples keep one shape.
 RUN = 32
 
 
@@ -108,6 +108,15 @@ def sample_potential(fn, t: float, x: np.ndarray, count: int) -> np.ndarray:
     return coords
 
 
+def sample_potentials(b0, b1, t: float, x: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(b0, b1)(t, x), each read by sample_potential, at one shape: a member
+    uniform in x beside one per point is broadcast (read-only) to its shape."""
+    c0, c1 = sample_potential(b0, t, x, count), sample_potential(b1, t, x, count)
+    if c0.shape != c1.shape:
+        c0, c1 = (np.broadcast_to(c, (len(x), count)) for c in (c0, c1))
+    return c0, c1
+
+
 def _random_run(spec: LatticeSpec, dim: int, seed: int, tag: int, scale: float, kinds: int):
     """(j, count) -> exp_map(scale * z) for slices j .. j + count - 1, with z
     standard normal u(N) coordinates of shape (count, kinds, n_sites, N^2).
@@ -181,39 +190,30 @@ class GaugeField:
         """The links of the continuum potential B_mu = sum_k b_mu^k tau_k:
         P_{j,p} = exp_map(eps * (b0 - b1)(t_j, x_p)), Q_{j,p} = exp_map(eps *
         (b0 + b1)(t_j, x_p)).  b0 and b1 are coordinate functions of
-        (t, x-array), sampled by sample_potential.
+        (t, x-array), read by sample_potentials.
 
-        A run samples slice j first, so its errors name t_j, and then the
-        following slices while both samples are uniform in x, up to its
-        count or j_max; a request reads RUN slices ahead.  A later sample that
-        is per-site or raises ends the run, and its slice is sampled again,
-        and built or refused, when requested.  A per-site slice is a run of one."""
+        A run samples slice j first, so its errors name t_j, then the next
+        slices while each pair keeps slice j's shape (uniform in x or per
+        site), up to its count or j_max; a request reads RUN slices ahead.
+        A later sample of the other shape, or one that raises, ends the run;
+        its slice is sampled again, and built or refused, when requested."""
         x = spec.positions()
 
-        def sample(j):
-            t = spec.time(j)
-            return sample_potential(b0, t, x, len(gens)), sample_potential(b1, t, x, len(gens))
-
         def run(j, count):
-            c0, c1 = sample(j)
-            samples = [(c0, c1)]
-            stop = min(j + count, spec.j_max + 1) if c0.ndim == c1.ndim == 1 else j + 1
-            for k in range(j + 1, stop):
+            pairs = [sample_potentials(b0, b1, spec.time(j), x, len(gens))]
+            for k in range(j + 1, min(j + count, spec.j_max + 1)):
                 try:
-                    c0, c1 = sample(k)
+                    pair = sample_potentials(b0, b1, spec.time(k), x, len(gens))
                 except Exception:  # the run ends; slice k's own request raises it
                     break
-                if c0.ndim != 1 or c1.ndim != 1:
+                if pair[0].shape != pairs[0][0].shape:
                     break
-                samples.append((c0, c1))
-            c0, c1 = np.array([c[0] for c in samples]), np.array([c[1] for c in samples])
-            # (b0 - b1, b0 + b1) per slice of the run, at the larger sample shape
-            pair = np.empty((len(samples), 2) + np.broadcast_shapes(c0.shape, c1.shape)[1:])
-            np.subtract(c0, c1, out=pair[:, 0])
-            np.add(c0, c1, out=pair[:, 1])
-            pair *= spec.epsilon
-            # (run, 2, 1, N, N) or (1, 2, n_sites, N, N): the distinct links
-            return exp_map(pair, gens).reshape(len(samples), 2, -1, gens.dim, gens.dim)
+                pairs.append(pair)
+            c = np.array(pairs)  # (run, 2, count) or (run, 2, n_sites, count)
+            # (b0 - b1, b0 + b1) per slice of the run
+            coords = np.stack((c[:, 0] - c[:, 1], c[:, 0] + c[:, 1]), 1) * spec.epsilon
+            # (run, 2, 1, N, N) or (run, 2, n_sites, N, N): the distinct links
+            return exp_map(coords, gens).reshape(len(pairs), 2, -1, gens.dim, gens.dim)
 
         return cls(spec, gens.dim, run, read_ahead=RUN)
 
@@ -351,19 +351,23 @@ def curvature_gauge_conjugator(g: GaugeTransformation, j: int, p: int) -> np.nda
 
 
 def continuous_curvature(b0, b1, gens: GeneratorSet, t: float, x: float, h: float = 1e-5) -> np.ndarray:
-    """F_10 = d_1 B_0 - d_0 B_1 - i [B_1, B_0] with B_mu = sum_k b^k_mu tau_k,
-    the derivatives taken as central differences of step h."""
+    """F_10 = d_1 B_0 - d_0 B_1 - i [B_1, B_0] at (t, x), with B_mu = sum_k
+    b^k_mu tau_k and the derivatives taken as central differences of step h.
+    b0 and b1 are the (t, x-array) functions the walk and the Dirac
+    reference take, read by sample_potentials at the points x - h, x, x + h."""
     if h <= 0:
         raise ValueError("h must be positive")
+    xs, count = x + h * np.array([-1.0, 0.0, 1.0]), len(gens)
 
-    def mat(fn, tt, xx):
-        return gens.assemble(np.asarray(fn(tt, xx), dtype=float))
+    def at(tt):
+        """(B0, B1) at the three points, as an array of shape (2, 3, N, N)."""
+        c = np.array(sample_potentials(b0, b1, tt, xs, count))
+        return gens.assemble(np.broadcast_to(c.reshape(2, -1, count), (2, 3, count)))
 
-    d1_b0 = (mat(b0, t, x + h) - mat(b0, t, x - h)) / (2 * h)
-    d0_b1 = (mat(b1, t + h, x) - mat(b1, t - h, x)) / (2 * h)
-    b1m = mat(b1, t, x)
-    b0m = mat(b0, t, x)
-    out = d1_b0 - d0_b1 - 1j * (b1m @ b0m - b0m @ b1m)
+    b0s, b1s = at(t)
+    d1_b0 = (b0s[2] - b0s[0]) / (2 * h)
+    d0_b1 = (at(t + h)[1, 1] - at(t - h)[1, 1]) / (2 * h)
+    out = d1_b0 - d0_b1 - 1j * (b1s[1] @ b0s[1] - b0s[1] @ b1s[1])
     if not np.all(np.isfinite(out)):
         raise ValueError("non-finite curvature sample")
     return out

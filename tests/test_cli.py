@@ -1,6 +1,7 @@
 """Experiment configs and the command-line entry point, including exit codes:
 0 success, 1 config error, 2 invariant violation, 3 numerical abort."""
 
+import argparse
 import json
 
 import numpy as np
@@ -382,3 +383,39 @@ class TestValidationBeforeCompute:
         rc = cli.main(["trajectory", "--sigma", "0", "--out", str(tmp_path / "run")])
         assert rc == 1
         assert "sigma must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dt", [0, -0.5])
+    def test_nonpositive_dirac_dt(self, no_compute, tmp_path, capsys, dt):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"dirac_dt": dt}))
+        rc = cli.main(["convergence", "--config", str(path), "--x-max", "15", "--t-max", "2",
+                       "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert "config error: dirac_dt must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("experiment", list(ex.EXPERIMENTS))
+    def test_unusable_out_is_refused_before_compute(self, no_compute, tmp_path, capsys, experiment):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = cli.main([experiment, "--x-max", "15", "--t-max", "2", "--out", str(blocker / "sub")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Not a directory" in err
+
+
+def test_every_option_of_every_experiment_reaches_the_config(monkeypatch):
+    # only the flags' route into the config is under test, not their values
+    monkeypatch.setattr(ex.ExperimentConfig, "__post_init__", lambda self: None)
+    parser = cli.make_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subs.choices) == set(ex.EXPERIMENTS)
+    default = ex.ExperimentConfig()
+    for name, sub in subs.choices.items():
+        options = [a for a in sub._actions if a.option_strings and a.dest not in ("help", "config")]
+        assert len(options) == 12
+        for action in options:
+            value = {int: "3", float: "0.375", None: "elsewhere"}[action.type]
+            args = parser.parse_args([name, action.option_strings[0], value])
+            cfg = cli.build_config(args)
+            assert getattr(cfg, action.dest) == getattr(args, action.dest) != getattr(default, action.dest)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaugewalk import cli
 from gaugewalk import dirac as dr
 from gaugewalk import experiments as ex
 from gaugewalk import lattice as lat
@@ -466,19 +467,27 @@ class TestBandMarch:
     @pytest.mark.parametrize("t_switch", [0.0, 0.255])
     @pytest.mark.parametrize("n_points", [127, 128])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_per_point_potential_moves_the_march_to_the_whole_grid(self, monkeypatch, dim,
+    def test_per_point_potential_moves_the_march_to_the_whole_grid(self, monkeypatch, capsys, dim,
                                                                    n_points, t_switch):
         f = packet(dim, n_points, 1.0)
         params = x_dependent_after(random_uniform_params(dim, seed=dim), t_switch)
-        want = x_space_march(f, params, 0.53, 0.02)
+        if t_switch == 0.0:
+            # per point at t = 0: the whole grid from the first step
+            want = x_space_march(f, params, 0.53, 0.02)
+            rows = marched_rows(monkeypatch)
+            got = dr.solve(f, params, 0.53, 0.02)
+            assert rows == [n_points] * 27
+            assert np.max(np.abs(got.values - want.values)) <= 1e-13
+            return
+        # uniform at t = 0, so solve marches the band, which refuses the
+        # first per-point sample: the step from t = 0.26 meets it
         rows = marched_rows(monkeypatch)
-        got = dr.solve(f, params, 0.53, 0.02)
-        # steps whose samples are all uniform run on the band; the step that
-        # meets the first per-point sample is redone on the whole grid
-        done = {0.0: 0, 0.255: 13}[t_switch]
-        assert rows == [rows[0]] * (done + 1) + [n_points] * (27 - done)
-        assert rows[0] < n_points // 2
-        assert np.max(np.abs(got.values - want.values)) <= 1e-13
+        with pytest.raises(un.DimensionError, match=r"^potential sample at t=0\.26 is per point .*"
+                                                   r"return it per point at every t$"):
+            dr.solve(f, params, 0.53, 0.02)
+        assert rows == [rows[0]] * 14 and rows[0] < n_points // 2
+        assert cli.report_failures(lambda: dr.solve(f, params, 0.53, 0.02)) == 1
+        assert capsys.readouterr().err.startswith("config error: potential sample at t=0.26 is per point")
 
     def test_criterion_06_packet_marches_on_its_band(self, monkeypatch):
         cfg = ex.ExperimentConfig(experiment="convergence", dim=2, mass=0.1, e_ym=0.08,
@@ -564,6 +573,9 @@ class TestLeanKernels:
         gens = un.generators_u(dim)
         lead0, lead1 = {"single": ((), ()), "stack": ((7,), (7,)), "mixed": ((), (7,))}[kind]
         b0, b1 = hermitian_stack(gens, lead0, rng), hermitian_stack(gens, lead1, rng)
+        # B0 and B1 come at one shape: a uniform B0 beside a per-point B1 as a
+        # stride-0 view
+        b0 = np.broadcast_to(b0, b1.shape)
         got = dr.coupling_matrix(b0, b1, mass)
         want = reference_coupling(b0, b1, mass)
         assert got.shape == want.shape
@@ -608,14 +620,14 @@ class TestLeanKernels:
                   for s in shapes)
         params = dr.DiracParams(0.2, lambda t, xx: c0, lambda t, xx: c1, gens)
         b0, b1 = params.potential_matrices(0.5, x)
+        # one shape for both, per point if either sample is
+        assert b0.shape == b1.shape == ((grid.n_points,) if "p" in shapes else ()) + (dim, dim)
         for got, coords in ((b0, c0), (b1, c1)):
             want = np.einsum("...k,kij->...ij", coords, gens.gens)
-            assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-14
-        if shapes[0] != shapes[1]:
-            # different shapes are assembled one by one, as before
-            assert np.array_equal(b0, gens.assemble(c0))
-            assert np.array_equal(b1, gens.assemble(c1))
+        # equal to assembling the broadcast coordinates
+        want = gens.assemble(np.array(np.broadcast_arrays(c0, c1)))
+        assert np.array_equal(b0, want[0]) and np.array_equal(b1, want[1])
 
     def test_spinor_symbols_are_cached_read_only_and_per_grid_and_dim(self):
         grids = [dr.SpectralGrid(32, -8.0, 0.5), dr.SpectralGrid(32, -8.0, 0.5),

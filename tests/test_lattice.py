@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaugewalk import experiments as ex
 from gaugewalk import lattice as lat
 from gaugewalk import unitary as un
 from references import constant_field, constant_transformation, field_sources, su2_closed_form
@@ -239,10 +240,90 @@ def spoiled(fn, spec, k, value):
     return lambda t, x: value(fn(t, x), x) if t == spec.time(k) else fn(t, x)
 
 
+def exp_map_runs(monkeypatch):
+    """The length of every run lattice.exp_map is handed, in call order."""
+    runs = []
+
+    def counting(coords, gens, _fn=lat.exp_map):
+        runs.append(len(coords))
+        return _fn(coords, gens)
+
+    monkeypatch.setattr(lat, "exp_map", counting)
+    return runs
+
+
+class TestSamplePotentials:
+    def test_a_pair_of_one_shape_is_returned_as_sampled(self):
+        x = small_spec().positions()
+        for shape in ((4,), (len(x), 4)):
+            a, b = np.arange(np.prod(shape), dtype=float).reshape(shape), np.ones(shape)
+            c0, c1 = lat.sample_potentials(lambda t, xx: a, lambda t, xx: b, 0.5, x, 4)
+            assert c0 is a and c1 is b
+
+    @pytest.mark.parametrize("uniform", [0, 1])
+    def test_a_uniform_member_is_broadcast_to_the_per_point_one(self, uniform):
+        x = small_spec().positions()
+        u, p = np.arange(4.0), np.cos(x)[:, None] * np.arange(1.0, 5.0)
+        fns = [lambda t, xx: p, lambda t, xx: p]
+        fns[uniform] = lambda t, xx: u
+        pair = lat.sample_potentials(*fns, 0.5, x, 4)
+        assert all(c.shape == (len(x), 4) for c in pair)
+        assert pair[uniform].strides[0] == 0 and not pair[uniform].flags.writeable
+        assert np.array_equal(pair[uniform], np.broadcast_to(u, p.shape))
+        assert np.array_equal(pair[1 - uniform], p)
+
+    def test_each_member_is_checked(self):
+        x = small_spec().positions()
+        ok = lambda t, xx: np.zeros(4)
+        with pytest.raises(un.DimensionError, match=r"^potential sample at t=0\.5 has shape \(3,\)"):
+            lat.sample_potentials(ok, lambda t, xx: np.zeros(3), 0.5, x, 4)
+        with pytest.raises(ValueError, match=r"^non-finite potential sample at t=0\.5$"):
+            lat.sample_potentials(lambda t, xx: np.full(4, np.nan), ok, 0.5, x, 4)
+
+
 class TestPotentialRuns:
-    """An x-uniform potential is built a run of slices at a time."""
+    """A potential is built a run of slices at a time, while its samples keep
+    one shape."""
 
     DIMS = [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("per_site", ["b0", "b1", "both"])
+    def test_a_per_site_run_equals_each_slice_of_the_broadcast_pair(self, monkeypatch, dim, per_site):
+        spec = small_spec(p_max=3, j_max=12)
+        b0, b1, gens = smooth_potentials(dim)
+        profile = np.cos(spec.positions())[:, None]
+        if per_site in ("b0", "both"):
+            b0 = lambda t, x, _fn=b0: profile * _fn(t, x)
+        if per_site in ("b1", "both"):
+            b1 = lambda t, x, _fn=b1: profile * _fn(t, x)
+        runs = exp_map_runs(monkeypatch)
+        field = lat.GaugeField.from_potentials(b0, b1, spec, gens)
+        got = [(field.P(j), field.Q(j)) for j in range(spec.j_max + 1)]
+        assert runs == [spec.j_max + 1]  # one run holds every slice
+        monkeypatch.undo()
+        for j, links in enumerate(got):
+            t, x = spec.time(j), spec.positions()
+            c0, c1 = np.broadcast_arrays(b0(t, x), b1(t, x))
+            want = un.exp_map(spec.epsilon * np.stack((c0 - c1, c0 + c1)), gens)
+            assert all(np.array_equal(a, w) and not lat.uniform_in_x(a) for a, w in zip(links, want))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_a_run_ends_where_the_sample_shape_changes(self, monkeypatch, dim):
+        spec = small_spec(p_max=3, j_max=12)
+        b0, b1, gens = smooth_potentials(dim)
+        clean = lat.GaugeField.from_potentials(b0, b1, spec, gens)
+        want = [(clean.P(j), clean.Q(j)) for j in range(spec.j_max + 1)]
+        # b1 per site on slices 4 .. 8, uniform in x before and after them
+        per_site = range(4, 9)
+        shaped = lambda t, x: np.tile(b1(t, x), (len(x), 1)) if round(t / spec.epsilon) in per_site else b1(t, x)
+        runs = exp_map_runs(monkeypatch)
+        field = lat.GaugeField.from_potentials(b0, shaped, spec, gens)
+        for j in range(spec.j_max + 1):
+            links = (field.P(j), field.Q(j))
+            assert all(lat.uniform_in_x(a) == (j not in per_site) for a in links)
+            assert all(np.max(np.abs(a - w)) <= 1e-13 for a, w in zip(links, want[j]))
+        assert runs == [4, 5, 4]
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_slice_equals_its_build_alone_at_any_offset_in_a_run(self, dim):
@@ -641,11 +722,48 @@ class TestContinuousCurvature:
         # F10 = (c/2) sigma_1 - (c^2 x^2 / 2) sigma_3
         c, x = 0.8, 1.3
         gens = un.generators_u(2)
-        b0 = lambda t, xx: np.array([0.0, c * xx, 0.0, 0.0])
-        b1 = lambda t, xx: np.array([0.0, 0.0, c * xx, 0.0])
+        b0 = lambda t, xx: c * np.outer(xx, [0.0, 1.0, 0.0, 0.0])
+        b1 = lambda t, xx: c * np.outer(xx, [0.0, 0.0, 1.0, 0.0])
         f10 = lat.continuous_curvature(b0, b1, gens, 0.0, x)
         want = (c / 2) * un.PAULI[0] - (c * c * x * x / 2) * un.PAULI[2]
         assert np.max(np.abs(f10 - want)) <= 1e-8
+
+
+class TestCurvatureOfAnXDependentPotential:
+    """The discrete curvature against F10 of potentials that vary in x, so
+    that the d1 B0 term is compared with the lattice."""
+
+    EPSILONS = [0.2, 0.1, 0.05, 0.025]
+
+    @staticmethod
+    def static_commutator(c=0.8):
+        # B0 = c x sigma_1/2, B1 = c x sigma_2/2: at x = 0, F10 = d1 B0 = (c/2) sigma_1
+        return (lambda t, x: c * np.outer(x, [0.0, 1.0, 0.0, 0.0]),
+                lambda t, x: c * np.outer(x, [0.0, 0.0, 1.0, 0.0]))
+
+    @staticmethod
+    def smooth_noncommuting():
+        def b0(t, x):
+            return np.stack([0.1 * np.cos(x), 0.3 * np.sin(t + x), 0.2 * np.cos(0.7 * t - x) + 0.05,
+                             0.1 + 0.2 * x * t], axis=-1)
+
+        def b1(t, x):
+            return np.stack([0.05 * x, -0.2 * np.cos(t) * (1 + x), 0.25 * np.sin(0.5 * x + t),
+                             -0.3 + 0.1 * x + 0.05 * t], axis=-1)
+
+        return b0, b1
+
+    def test_static_commutator_field_strength_at_the_origin(self):
+        gens = un.generators_u(2)
+        f10 = lat.continuous_curvature(*self.static_commutator(), gens, 1.0, 0.0)
+        assert np.max(np.abs(f10 - 0.4 * un.PAULI[0])) <= 1e-9
+
+    @pytest.mark.parametrize("field", ["static_commutator", "smooth_noncommuting"])
+    def test_remainder_order_and_extracted_field_strength(self, field):
+        table = ex.curvature_order_table(*getattr(self, field)(), self.EPSILONS)
+        assert min(table["orders"]) >= 2.5
+        errors = table["extracted_f10_error"]
+        assert all(fine < coarse for coarse, fine in zip(errors, errors[1:]))
 
 
 class TestAbelian:
