@@ -37,8 +37,8 @@ def wong_rhs(s: ClassicalState, e_ym: float, g: float, m: float, t: float
     E_ym t delta^{a1} is E^a = -dA_1/dt = -E_ym delta^{a1}, so
     dp/dt = g I.E = -g E_ym I_1; the isospin precesses about the potential,
     dI^a/dt = g xdot eps^{abc} A_1^b I^c."""
-    if m <= 0:
-        raise ValueError("mass must be positive")
+    if not 0 < m < np.inf:
+        raise ValueError(f"mass must be positive and finite, got {m!r}")
     xdot = s.p / np.sqrt(s.p * s.p + m * m)
     pdot = -g * e_ym * s.isospin[0]
     a1 = np.array([e_ym * t, 0.0, 0.0])
@@ -48,8 +48,8 @@ def wong_rhs(s: ClassicalState, e_ym: float, g: float, m: float, t: float
 
 def rk4_step(s: ClassicalState, e_ym: float, g: float, m: float, t: float,
              dt: float) -> ClassicalState:
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
 
     def shifted(k, h):
         return ClassicalState(s.x + h * k[0], s.p + h * k[1], s.isospin + h * k[2])
@@ -69,8 +69,8 @@ def closed_form_trajectory(x0: float, p0: float, e_ym: float, g: float, m: float
     """Exact (x, p) for isospin aligned with the field, I_1 = 1/2:
     p(t) = p0 - g E_ym t / 2 and x from the relativistic antiderivative
     of p / sqrt(p^2 + m^2)."""
-    if m <= 0:
-        raise ValueError("mass must be positive")
+    if not 0 < m < np.inf:
+        raise ValueError(f"mass must be positive and finite, got {m!r}")
     a = -g * e_ym / 2
     p = p0 + a * t
     if a == 0.0:

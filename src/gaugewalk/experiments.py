@@ -269,8 +269,7 @@ def run_trajectory(cfg: ExperimentConfig) -> dict:
     safe = cfg.safe_zone()
     times, xbar, xcl = [0.0], [x0], [x0]
     wcfg = _walk_config(cfg, eps)
-    for n in range(1, cfg.lattice_size(eps)[1] + 1):
-        state = walker.step(state, field_, wcfg)
+    for n, state in enumerate(walker.walk(state, field_, wcfg, cfg.lattice_size(eps)[1]), 1):
         t = n * eps
         xw = analysis.mean_position(state.site_probabilities(), positions, eps)
         if abs(xw) > safe:

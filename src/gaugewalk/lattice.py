@@ -3,7 +3,6 @@ curvature built from the holonomy-like products U and V."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +23,13 @@ class SiteRangeError(IndexError):
     pass
 
 
-# Time slices each field or transformation keeps built: enough for the
-# whole check lattice of gauge_check_residuals (53 field slices, 54 of G),
-# so its random-j curvature samples never rebuild a slice.  A slice uniform
-# in x is one matrix, so the memo costs memory only for per-site slices.
+# Time slices each field or transformation keeps, the last ones built:
+# enough for the whole check lattice of gauge_check_residuals (53 field
+# slices, 54 of G), so its random-j curvature samples never rebuild a slice.
+# A slice uniform in x is one matrix, so the memo costs memory only for
+# per-site slices.
 SLICE_CACHE = 64
-# Slices one run builds, for every source: walker.evolve prefetches the
-# slices of its steps RUN at a time, and from_potentials reads RUN slices
-# ahead while its samples keep one shape.
+# Slices walker.walk asks a field for at once, P(j, RUN), before RUN steps.
 RUN = 32
 
 
@@ -63,11 +61,6 @@ class LatticeSpec:
     def site_index(self, p: int) -> int:
         """Array index for lattice label p, with periodic wrap."""
         return (p + self.p_max) % self.n_sites
-
-
-def _check_time_index(spec: LatticeSpec, j: int, lo: int = 0) -> None:
-    if not lo <= j <= spec.j_max:
-        raise SiteRangeError(f"time index {j} outside [{lo}, {spec.j_max}]")
 
 
 def uniform_in_x(arr: np.ndarray) -> bool:
@@ -144,41 +137,48 @@ def _random_run(spec: LatticeSpec, dim: int, seed: int, tag: int, scale: float, 
     return run
 
 
-def _memo(spec: LatticeSpec, run, kinds: str, read_ahead: int):
-    """(request, build): build(j, count) checks the run run(j, count) and
-    keeps its slices until requested; request(j), memoised for the last
-    SLICE_CACHE slices, gives slice j as one read-only (n_sites, N, N) array
-    per kind, first building a run of read_ahead slices from j if needed."""
-    ahead = {}  # the last run's slices not yet requested
+def _memo(spec: LatticeSpec, run, kinds: str, hi: int):
+    """request(j, ahead): slice j, j in [0, hi], as one read-only
+    (n_sites, N, N) array per kind.  A hit is one dict lookup; a miss builds
+    the run run(j, ahead), clipped at hi, checks it and keeps its slices:
+    the memo holds the last SLICE_CACHE slices built."""
+    memo = {}
 
-    def build(j, count):
-        links = run(j, count)
+    def request(j, ahead):
+        if ahead < 1:
+            raise ValueError(f"ahead must be >= 1, got {ahead}")
+        slices = memo.get(j)
+        if slices is not None:
+            return slices
+        if not 0 <= j <= hi:
+            raise SiteRangeError(f"time index {j} outside [0, {hi}]")
+        links = run(j, min(ahead, hi + 1 - j))
         _check_links(links, spec, j, kinds)
         # a run uniform in x has one site: each slice is a stride-0 view of it
         links = np.broadcast_to(links, links.shape[:2] + (spec.n_sites,) + links.shape[3:])
-        ahead.clear()
-        ahead.update((j + l, tuple(links[l])) for l in range(len(links)))
+        built = [tuple(s) for s in links]
+        for k, slices in enumerate(built, j):
+            memo.pop(k, None)  # a rebuilt slice counts as the newest
+            memo[k] = slices
+        while len(memo) > SLICE_CACHE:
+            del memo[next(iter(memo))]
+        return built[0]
 
-    def request(j):
-        if j not in ahead:
-            build(j, read_ahead)
-        return ahead.pop(j)
-
-    return functools.lru_cache(SLICE_CACHE)(request), build
+    return request
 
 
 class GaugeField:
     """The discrete gauge potential R = (P, Q): one U(N) matrix pair per
     spacetime site.  run(j, count) builds slices j .. j + count - 1 as links
     of shape (count, 2, n_sites or 1, N, N), P then Q, one site for a run
-    uniform in x; each run gets one unitarity check per kind.  A request
-    that misses builds a run of read_ahead slices, prefetch one ahead of the
-    requests.  P(j), Q(j) are read-only, stride 0 over sites when uniform."""
+    uniform in x; each run gets one unitarity check per kind.  P(j, ahead)
+    and Q(j, ahead) are read-only, stride 0 over sites when uniform; a
+    request that misses builds a run of `ahead` slices from j (see _memo)."""
 
-    def __init__(self, spec: LatticeSpec, dim: int, run, read_ahead: int = 1):
+    def __init__(self, spec: LatticeSpec, dim: int, run):
         self.spec = spec
         self.dim = dim
-        self._slices, self._build = _memo(spec, run, "PQ", read_ahead)
+        self._request = _memo(spec, run, "PQ", spec.j_max)
 
     @classmethod
     def identity(cls, spec: LatticeSpec, dim: int) -> "GaugeField":
@@ -194,9 +194,9 @@ class GaugeField:
 
         A run samples slice j first, so its errors name t_j, then the next
         slices while each pair keeps slice j's shape (uniform in x or per
-        site), up to its count or j_max; a request reads RUN slices ahead.
-        A later sample of the other shape, or one that raises, ends the run;
-        its slice is sampled again, and built or refused, when requested."""
+        site), up to its count or j_max.  A later sample of the other shape,
+        or one that raises, ends the run; its slice is sampled again, and
+        built or refused, when requested."""
         x = spec.positions()
 
         def run(j, count):
@@ -215,7 +215,7 @@ class GaugeField:
             # (run, 2, 1, N, N) or (run, 2, n_sites, N, N): the distinct links
             return exp_map(coords, gens).reshape(len(pairs), 2, -1, gens.dim, gens.dim)
 
-        return cls(spec, gens.dim, run, read_ahead=RUN)
+        return cls(spec, gens.dim, run)
 
     @classmethod
     def from_arrays(cls, spec: LatticeSpec, p_arr: np.ndarray, q_arr: np.ndarray) -> "GaugeField":
@@ -238,21 +238,11 @@ class GaugeField:
         rebuilt identically, in any order and in runs of any length."""
         return cls(spec, dim, _random_run(spec, dim, seed, 0, scale, 2))
 
-    def prefetch(self, j: int, count: int) -> None:
-        """Build slices j .. j + count - 1, clipped at j_max, as one run
-        ahead of their requests (from_potentials may end it sooner).  A j
-        outside [0, j_max] builds nothing; its request raises."""
-        count = min(count, self.spec.j_max + 1 - j)
-        if j >= 0 and count > 0:
-            self._build(j, count)
+    def P(self, j: int, ahead: int = 1) -> np.ndarray:
+        return self._request(j, ahead)[0]
 
-    def P(self, j: int) -> np.ndarray:
-        _check_time_index(self.spec, j)
-        return self._slices(j)[0]
-
-    def Q(self, j: int) -> np.ndarray:
-        _check_time_index(self.spec, j)
-        return self._slices(j)[1]
+    def Q(self, j: int, ahead: int = 1) -> np.ndarray:
+        return self._request(j, ahead)[1]
 
 
 class GaugeTransformation:
@@ -263,7 +253,8 @@ class GaugeTransformation:
     def __init__(self, spec: LatticeSpec, dim: int, run):
         self.spec = spec
         self.dim = dim
-        self._slices, _ = _memo(spec, run, "G", 1)
+        # transforming slice j_max of a field needs G on slice j_max + 1
+        self._request = _memo(spec, run, "G", spec.j_max + 1)
 
     @classmethod
     def random(cls, spec: LatticeSpec, dim: int, seed: int, scale: float = 1.0) -> "GaugeTransformation":
@@ -273,10 +264,7 @@ class GaugeTransformation:
         return cls(spec, dim, _random_run(spec, dim, seed, 7, scale, 1))
 
     def G(self, j: int) -> np.ndarray:
-        # transforming slice j_max of a field needs G on slice j_max + 1
-        if not 0 <= j <= self.spec.j_max + 1:
-            raise SiteRangeError(f"time index {j} outside [0, {self.spec.j_max + 1}]")
-        return self._slices(j)[0]
+        return self._request(j, 1)[0]
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
@@ -294,8 +282,8 @@ def transform_potentials(field_: GaugeField, g: GaugeTransformation) -> GaugeFie
 
     def run(j, count):
         js = range(j, j + count)
-        g_up = np.array([g.G(k + 1) for k in js])
-        g_inv = _dagger(np.array([g.G(k) for k in js]))
+        gs = np.array([g.G(k) for k in range(j, j + count + 1)])  # each G once, in ascending j
+        g_up, g_inv = gs[1:], _dagger(gs[:-1])
         p, q = np.array([field_.P(k) for k in js]), np.array([field_.Q(k) for k in js])
         return np.stack((g_up @ p @ g_inv[:, right], g_up @ q @ g_inv[:, left]), 1)
 
@@ -317,6 +305,7 @@ def _around(field_: GaugeField, j: int) -> list:
     """(P, Q) on slices j-1, j, j+1, the slices a curvature at j reads."""
     if not 1 <= j <= field_.spec.j_max - 1:
         raise SiteRangeError(f"curvature needs slices j-1..j+1; j={j} out of range")
+    field_.P(j - 1, 3)  # a miss builds the three slices as one run
     return [(field_.P(k), field_.Q(k)) for k in (j - 1, j, j + 1)]
 
 

@@ -135,16 +135,23 @@ def step(state: WalkState, field: GaugeField, config: WalkConfig) -> WalkState:
     return WalkState(state.spec, state.dim, state.j + 1, out)
 
 
-def evolve(state: WalkState, field: GaugeField, config: WalkConfig, steps: int) -> WalkState:
-    """`steps` walk steps from state.  Before each lattice.RUN steps the
-    field builds the slices they read as one run (GaugeField.prefetch); the
-    steps are step's, so the final state is a step loop's, bit for bit."""
+def walk(state: WalkState, field: GaugeField, config: WalkConfig, steps: int):
+    """Yield the state after each of `steps` walk steps from state.  Before
+    each lattice.RUN steps the field builds the slices they read as one run,
+    field.P(j, ahead); the states are step's, bit for bit."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     for done in range(steps):
         if done % RUN == 0:
-            field.prefetch(state.j, min(RUN, steps - done))
+            field.P(state.j, min(RUN, steps - done))
         state = step(state, field, config)
+        yield state
+
+
+def evolve(state: WalkState, field: GaugeField, config: WalkConfig, steps: int) -> WalkState:
+    """The state after `steps` walk steps from state: walk's last."""
+    for state in walk(state, field, config, steps):
+        pass
     return state
 
 

@@ -53,6 +53,11 @@ class TestWongRhs:
         with pytest.raises(ValueError):
             cl.wong_rhs(aligned_state(), 0.1, 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("m", [np.nan, np.inf])
+    def test_non_finite_mass_refused(self, m):
+        with pytest.raises(ValueError, match="mass must be positive and finite"):
+            cl.wong_rhs(aligned_state(), 0.1, 1.0, m, 0.0)
+
 
 class TestRk4:
     def test_matches_closed_form_when_aligned(self):
@@ -95,6 +100,11 @@ class TestRk4:
         with pytest.raises(ValueError):
             cl.rk4_step(aligned_state(), 0.1, 1.0, 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_dt_refused(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            cl.rk4_step(aligned_state(), 0.1, 1.0, 1.0, 0.0, dt)
+
 
 class TestClosedForm:
     def test_free_motion(self):
@@ -119,6 +129,11 @@ class TestClosedForm:
     def test_mass_validated(self):
         with pytest.raises(ValueError):
             cl.closed_form_trajectory(0.0, 0.0, 0.1, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("m", [np.nan, np.inf])
+    def test_non_finite_mass_refused(self, m):
+        with pytest.raises(ValueError, match="mass must be positive and finite"):
+            cl.closed_form_trajectory(0.0, 0.0, 0.1, 1.0, m, 1.0)
 
     def test_state_validation(self):
         with pytest.raises(ValueError):

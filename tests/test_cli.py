@@ -109,26 +109,20 @@ class TestGaugeCheckInternals:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_check_lattice_builds_each_slice_once(self, monkeypatch, dim, seed):
         # the curvature samples at random j must find every slice the walks
-        # built still memoised: no field, G or transformed slice is rebuilt
-        made = []
+        # built still memoised: no field, G or transformed slice is rebuilt.
+        # Every slice built passes one unitarity check per kind, so a slice
+        # built twice would show as the same links checked twice.
+        checked = []
 
-        def recording(make):
-            def wrapper(*args, **kwargs):
-                made.append(make(*args, **kwargs))
-                return made[-1]
-            return wrapper
+        def recording(links, _fn=lat.unitarity_defect):
+            checked.extend(m.tobytes() for m in links)
+            return _fn(links)
 
-        for owner, name in ((lat.GaugeField, "random"), (lat.GaugeTransformation, "random"),
-                            (lat, "transform_potentials")):
-            monkeypatch.setattr(owner, name, recording(getattr(owner, name)))
-        spec = lat.LatticeSpec(0.1, 8, 52)
-        ex.gauge_check_residuals(dim, spec, seed)
-        infos = dict(zip(("field", "G", "transformed"), (obj._slices.cache_info() for obj in made)))
-        # a slice built twice was evicted in between, which leaves fewer
-        # slices memoised than were built
-        assert {k: i.misses for k, i in infos.items()} == {k: i.currsize for k, i in infos.items()}
-        # both walks read slices 0..49, the primed one G 0..50 too
-        assert min(i.misses for i in infos.values()) >= 50
+        monkeypatch.setattr(lat, "unitarity_defect", recording)
+        ex.gauge_check_residuals(dim, lat.LatticeSpec(0.1, 8, 52), seed)
+        assert len(set(checked)) == len(checked)
+        # both walks read P and Q of slices 0..49, the primed one G 0..50 too
+        assert len(checked) >= 2 * 2 * 50 + 51
 
     def test_abelian_consistency(self):
         assert ex.abelian_consistency_residual(seed=7) <= 1e-12

@@ -299,7 +299,7 @@ class TestPotentialRuns:
             b1 = lambda t, x, _fn=b1: profile * _fn(t, x)
         runs = exp_map_runs(monkeypatch)
         field = lat.GaugeField.from_potentials(b0, b1, spec, gens)
-        got = [(field.P(j), field.Q(j)) for j in range(spec.j_max + 1)]
+        got = [(field.P(j, lat.RUN), field.Q(j)) for j in range(spec.j_max + 1)]
         assert runs == [spec.j_max + 1]  # one run holds every slice
         monkeypatch.undo()
         for j, links in enumerate(got):
@@ -320,7 +320,7 @@ class TestPotentialRuns:
         runs = exp_map_runs(monkeypatch)
         field = lat.GaugeField.from_potentials(b0, shaped, spec, gens)
         for j in range(spec.j_max + 1):
-            links = (field.P(j), field.Q(j))
+            links = (field.P(j, lat.RUN), field.Q(j))
             assert all(lat.uniform_in_x(a) == (j not in per_site) for a in links)
             assert all(np.max(np.abs(a - w)) <= 1e-13 for a, w in zip(links, want[j]))
         assert runs == [4, 5, 4]
@@ -329,21 +329,19 @@ class TestPotentialRuns:
     def test_slice_equals_its_build_alone_at_any_offset_in_a_run(self, dim):
         spec = long_spec()  # three runs from slice 0, the third clipped at j_max
         b0, b1, gens = smooth_potentials(dim)
-        per_site = lambda c, x: np.tile(c, (len(x), 1))
 
         def alone(j):
-            # a per-site sample at j + 1 ends the run at j; j_max ends it there
-            ends = spoiled(b0, spec, j + 1, per_site) if j < spec.j_max else b0
-            f = lat.GaugeField.from_potentials(ends, b1, spec, gens)
-            return f.P(j), f.Q(j)
+            f = lat.GaugeField.from_potentials(b0, b1, spec, gens)
+            return f.P(j), f.Q(j)  # a run of one
 
         from_zero = lat.GaugeField.from_potentials(b0, b1, spec, gens)
         from_five = lat.GaugeField.from_potentials(b0, b1, spec, gens)
-        from_five.P(5)  # a run of slices 5 .. 5 + RUN - 1
+        from_five.P(5, lat.RUN)  # a run of slices 5 .. 5 + RUN - 1
         edges = {0, 1, 37, lat.RUN - 1, lat.RUN, 2 * lat.RUN - 1, 2 * lat.RUN, spec.j_max - 1, spec.j_max}
         for j in sorted(edges):
             want = alone(j)
-            assert all(np.array_equal(a, b) for a, b in zip((from_zero.P(j), from_zero.Q(j)), want))
+            got = (from_zero.P(j, lat.RUN), from_zero.Q(j))
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
         for j in (5, 6, lat.RUN + 4, lat.RUN + 5):
             want = alone(j)
             got = (from_five.P(j), from_five.Q(j))
@@ -363,10 +361,10 @@ class TestPotentialRuns:
         k = 6
         clean = lat.GaugeField.from_potentials(b0, b1, spec, gens)
         field = lat.GaugeField.from_potentials(b0, spoiled(b1, spec, k, bad), spec, gens)
-        for j in range(k):
-            assert np.array_equal(field.P(j), clean.P(j)) and np.array_equal(field.Q(j), clean.Q(j))
+        for j in range(k):  # slice 0's request builds slices 0 .. k - 1 as one run
+            assert np.array_equal(field.P(j, lat.RUN), clean.P(j)) and np.array_equal(field.Q(j), clean.Q(j))
         with pytest.raises(ValueError, match=message.format(t=spec.time(k))):
-            field.P(k)
+            field.P(k, lat.RUN)
         assert np.array_equal(field.Q(k + 1), clean.Q(k + 1))
 
     @pytest.mark.parametrize("dim", DIMS)
@@ -378,7 +376,7 @@ class TestPotentialRuns:
                                                b1, spec, gens)
         clean = lat.GaugeField.from_potentials(b0, b1, spec, gens)
         for j in range(spec.j_max + 1):
-            assert (field.P(j).strides[0] == 0) == (j != k)
+            assert (field.P(j, lat.RUN).strides[0] == 0) == (j != k)
             assert np.max(np.abs(field.P(j) - clean.P(j))) <= 1e-13
 
     @pytest.mark.parametrize("dim", DIMS)
@@ -401,7 +399,7 @@ class TestPotentialRuns:
         message = (f"^{what} slice j={j} not unitary" if value == 1.01
                    else f"^non-finite {what} entry at j={j}, p={-spec.p_max}$")
         with pytest.raises(un.UnitarityError, match=message):
-            field.P(start)
+            field.P(start, lat.RUN)
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_one_exp_map_and_one_check_per_run(self, monkeypatch, dim):
@@ -415,24 +413,26 @@ class TestPotentialRuns:
             monkeypatch.setattr(lat, name, counter)
         field = lat.GaugeField.from_potentials(b0, b1, spec, gens)
         for j in range(spec.j_max + 1):
-            field.P(j), field.Q(j)
+            field.P(j, lat.RUN), field.Q(j)
         runs = [lat.RUN] * 4 + [6]
         # one check of P, then one of Q, per run
         assert calls == {"exp_map": runs, "unitarity_defect": [n for n in runs for _ in "PQ"]}
 
     @pytest.mark.parametrize("dim", DIMS)
-    def test_an_evicted_run_rebuilds_identical_slices(self, dim):
+    def test_an_evicted_run_rebuilds_identical_slices(self, monkeypatch, dim):
         spec = long_spec()
         b0, b1, gens = smooth_potentials(dim, seed=dim)
         field = lat.GaugeField.from_potentials(b0, b1, spec, gens)
-        first = {j: (field.P(j), field.Q(j)) for j in range(spec.j_max + 1)}
-        misses = field._slices.cache_info().misses
-        # slices 0 .. j_max - SLICE_CACHE were evicted; slice 3 rebuilds its
-        # run, which brings 4 and 8 with it
-        for j in (3, 4, 8):
-            again = (field.P(j), field.Q(j))
-            assert all(a is not b and np.array_equal(a, b) for a, b in zip(again, first[j]))
-        assert field._slices.cache_info().misses == misses + 3
+        first = {j: (field.P(j, lat.RUN), field.Q(j)) for j in range(spec.j_max + 1)}
+        runs = exp_map_runs(monkeypatch)
+        # the memo keeps the last SLICE_CACHE slices built, so slices
+        # 0 .. j_max - SLICE_CACHE were dropped; slice 3 rebuilds a run,
+        # which brings 4 and 8 with it, and slice j_max is still kept
+        for j in (3, 4, 8, spec.j_max):
+            again = (field.P(j, lat.RUN), field.Q(j))
+            assert all(np.array_equal(a, b) for a, b in zip(again, first[j]))
+            assert all((a is not b) == (j != spec.j_max) for a, b in zip(again, first[j]))
+        assert runs == [lat.RUN]
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_random_and_array_builds_check_each_slice_alone(self, monkeypatch, dim):
@@ -467,14 +467,13 @@ class TestRuns:
         spec = small_spec(p_max=3, j_max=lat.RUN + 9)
         make = field_sources(spec, dim, seed=dim)[source]
         from_zero, from_five = make(), make()
-        from_zero.prefetch(0, lat.RUN)
-        from_zero.prefetch(lat.RUN, lat.RUN)  # clipped at j_max
-        from_five.prefetch(5, lat.RUN)
+        from_zero.P(0, lat.RUN)
+        from_zero.P(lat.RUN, lat.RUN)  # clipped at j_max
+        from_five.P(5, lat.RUN)
         for run, js in ((from_zero, (0, 1, lat.RUN - 1, lat.RUN, spec.j_max - 1, spec.j_max)),
                         (from_five, (5, lat.RUN + 4))):
             for j in js:
                 alone = make()
-                alone.prefetch(j, 1)
                 got, want = (run.P(j), run.Q(j)), (alone.P(j), alone.Q(j))
                 assert all(np.array_equal(a, b) and not a.flags.writeable for a, b in zip(got, want))
                 assert [lat.uniform_in_x(a) for a in got] == [lat.uniform_in_x(b) for b in want]
@@ -490,30 +489,50 @@ class TestRuns:
             assert np.array_equal(whole[l, 0], g.G(2 + l))
 
     @pytest.mark.parametrize("dim", DIMS)
-    def test_prefetch_clips_at_j_max_and_builds_nothing_outside(self, monkeypatch, dim):
+    def test_a_run_clips_at_j_max_and_a_refused_request_builds_nothing(self, monkeypatch, dim):
         spec = small_spec(p_max=3, j_max=12)
         field = lat.GaugeField.random(spec, dim, seed=1)
-        runs = []
-
-        def counting(coords, gens, _fn=lat.exp_map):
-            runs.append(len(coords))
-            return _fn(coords, gens)
-
-        monkeypatch.setattr(lat, "exp_map", counting)
-        field.prefetch(-1, 5)
-        field.prefetch(spec.j_max + 1, 5)
-        field.prefetch(spec.j_max - 2, lat.RUN)
+        runs = exp_map_runs(monkeypatch)
+        for j in (-1, spec.j_max + 1):
+            with pytest.raises(lat.SiteRangeError, match=rf"^time index {j} outside \[0, {spec.j_max}\]$"):
+                field.Q(j, 5)
+        for ahead in (0, -3):
+            with pytest.raises(ValueError, match=f"^ahead must be >= 1, got {ahead}$"):
+                field.P(spec.j_max - 2, ahead)
+        assert runs == []
+        field.P(spec.j_max - 2, lat.RUN)
         assert runs == [3]
         for j in range(spec.j_max - 2, spec.j_max + 1):
-            field.P(j)
+            field.P(j), field.Q(j, lat.RUN)
         assert runs == [3]  # the requests found their slices built
-        with pytest.raises(lat.SiteRangeError):
-            field.P(spec.j_max + 1)
+        with pytest.raises(ValueError, match="^ahead must be >= 1, got 0$"):
+            field.P(spec.j_max, 0)
+
+    def test_the_memo_keeps_the_last_slices_built(self, monkeypatch):
+        spec = long_spec()
+        field = lat.GaugeField.random(spec, 2, seed=3)
+        runs = exp_map_runs(monkeypatch)
+        first = field.P(0, spec.j_max + 1)  # one run, longer than the memo
+        assert runs == [spec.j_max + 1]
+        field.P(spec.j_max + 1 - lat.SLICE_CACHE), field.Q(spec.j_max)  # kept
+        assert runs == [spec.j_max + 1]
+        assert np.array_equal(field.P(0), first)  # dropped, so rebuilt
+        assert runs == [spec.j_max + 1, 1]
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_a_curvature_builds_its_three_slices_as_one_run(self, monkeypatch, dim):
+        spec = small_spec()
+        b0, b1, gens = smooth_potentials(dim)
+        field = lat.GaugeField.from_potentials(b0, b1, spec, gens)
+        runs = exp_map_runs(monkeypatch)
+        lat.discrete_curvature(field, 4, 0)
+        lat.curvature_slice(field, 5)  # slices 4 and 5 built, 6 a run of one
+        assert runs == [3, 1]
 
     @pytest.mark.parametrize("dim", DIMS)
     @pytest.mark.parametrize("kind", [0, 1])
     @pytest.mark.parametrize("value", [1.01, np.nan])
-    def test_a_bad_array_slice_in_a_prefetched_run_names_its_slice_and_kind(self, dim, kind, value):
+    def test_a_bad_array_slice_in_a_run_names_its_slice_and_kind(self, dim, kind, value):
         spec = small_spec(j_max=lat.RUN + 4)
         eye = np.broadcast_to(np.eye(dim, dtype=complex), (spec.j_max + 1, spec.n_sites, dim, dim))
         links = [np.array(eye), np.array(eye)]
@@ -524,22 +543,21 @@ class TestRuns:
         message = (f"^{what} slice j=7 not unitary" if value == 1.01
                    else f"^non-finite {what} entry at j=7, p={2 - spec.p_max}$")
         with pytest.raises(un.UnitarityError, match=message):
-            field.prefetch(2, lat.RUN)
-        # the step loop's requests raise the same error at the same slice
+            field.P(2, lat.RUN)
+        # requests of one slice at a time raise the same error at the same slice
         for j in range(7):
             field.P(j), field.Q(j)
         with pytest.raises(un.UnitarityError, match=message):
             field.P(7)
 
-    @pytest.mark.parametrize("through_prefetch", [False, True])
-    def test_a_raising_sample_later_in_a_run_fails_only_its_own_slice(self, through_prefetch):
+    @pytest.mark.parametrize("ahead", [10, lat.RUN])
+    def test_a_raising_sample_later_in_a_run_fails_only_its_own_slice(self, ahead):
         spec = small_spec(eps=0.1, j_max=12)
         gens = un.generators_u(1)
         # 1 / (t - 0.5) raises ZeroDivisionError at t_5 = 0.5
         field = lat.GaugeField.from_potentials(lambda t, x: np.array([0.01 / (t - 0.5)]),
                                                lambda t, x: np.array([t]), spec, gens)
-        if through_prefetch:
-            field.prefetch(0, 10)
+        field.P(0, ahead)
         for j in range(5):
             field.P(j)
         with pytest.raises(ZeroDivisionError):
@@ -584,8 +602,9 @@ class TestGaugeTransformation:
         spec = small_spec()
         g = lat.GaugeTransformation.random(spec, 2, seed=1)
         g.G(spec.j_max + 1)  # needed to transform the last field slice
-        with pytest.raises(lat.SiteRangeError):
-            g.G(spec.j_max + 2)
+        for j in (-1, spec.j_max + 2):
+            with pytest.raises(lat.SiteRangeError, match=rf"^time index {j} outside \[0, {spec.j_max + 1}\]$"):
+                g.G(j)
 
 
 def random_lattice(kind, spec, dim, seed):
@@ -610,9 +629,10 @@ class TestRandomDraws:
         for k in range(spec.j_max + 1):
             if k != j:
                 built(obj, k)
-        misses = obj._slices.cache_info().misses
-        again = built(obj, j)
-        assert obj._slices.cache_info().misses == misses + 1  # evicted, so rebuilt
+        with pytest.MonkeyPatch.context() as patch:
+            runs = exp_map_runs(patch)
+            again = built(obj, j)
+        assert runs == [1]  # dropped from the memo, so rebuilt
         assert all(a is not b and np.array_equal(a, b) for a, b in zip(again, first))
 
     @settings(max_examples=20, deadline=None)

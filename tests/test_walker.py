@@ -303,6 +303,75 @@ class TestEvolve:
         assert calls == {"exp_map": runs, "unitarity_defect": [n for n in runs for _ in "PQ"]}
 
 
+class TestWalk:
+    """walk yields the states of a step loop and builds every slice inside
+    a slice request, RUN slices at a time."""
+
+    SOURCES = list(field_sources(lat.LatticeSpec(0.1, 3, 4), 1))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_walk_yields_a_step_loops_states_bit_for_bit(self, dim, source):
+        spec = lat.LatticeSpec(0.1, 3, 2 * lat.RUN + 9)
+        make = field_sources(spec, dim, seed=dim)[source]
+        state, cfg = random_state(spec, dim, seed=dim, j=3), wk.WalkConfig(dim, 0.4)
+        steps = 2 * lat.RUN + 5  # two whole runs and a short one
+        got = list(wk.walk(state, make(), cfg, steps))
+        assert len(got) == steps
+        field, want = make(), state
+        for n, walked in enumerate(got, 1):
+            want = wk.step(want, field, cfg)
+            assert walked.j == want.j == 3 + n
+            assert np.array_equal(walked.amplitudes, want.amplitudes)
+        assert list(wk.walk(state, field, cfg, 0)) == []
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            next(wk.walk(state, field, cfg, -1))
+
+    @pytest.mark.parametrize("source", ["random", "transformed", "uniform potentials", "per-site potentials"])
+    def test_every_build_of_evolve_runs_inside_a_slice_request(self, monkeypatch, source):
+        spec = lat.LatticeSpec(0.1, 3, 2 * lat.RUN + 9)
+        field = field_sources(spec, 2, seed=1)[source]()
+        depth, depths = [0], {"exp_map": [], "unitarity_defect": []}
+
+        def request(fn):
+            def counted(*args):
+                depth[0] += 1
+                try:
+                    return fn(*args)
+                finally:
+                    depth[0] -= 1
+            return counted
+
+        for owner, name in ((lat.GaugeField, "P"), (lat.GaugeField, "Q"), (lat.GaugeTransformation, "G")):
+            monkeypatch.setattr(owner, name, request(getattr(owner, name)))
+        for name, seen in depths.items():
+            def recording(*args, _fn=getattr(lat, name), _seen=seen):
+                _seen.append(depth[0])
+                return _fn(*args)
+            monkeypatch.setattr(lat, name, recording)
+        wk.evolve(random_state(spec, 2, seed=1, j=3), field, wk.WalkConfig(2, 0.4), 2 * lat.RUN + 5)
+        assert all(seen and min(seen) >= 1 for seen in depths.values())
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_a_walk_over_built_slices_makes_no_exp_map_call(self, monkeypatch, dim):
+        # criterion 02's order: the transformed walk requests every plain
+        # slice it reads, so the plain walk after it finds them all built
+        spec = lat.LatticeSpec(0.1, 8, 52)
+        field = lat.GaugeField.random(spec, dim, seed=dim, scale=0.5)
+        g = lat.GaugeTransformation.random(spec, dim, seed=dim + 1, scale=0.5)
+        state, cfg = random_state(spec, dim, seed=dim), wk.WalkConfig(dim, 0.3)
+        wk.evolve(wk.gauge_transform_state(state, g), lat.transform_potentials(field, g), cfg, 50)
+        calls = []
+
+        def counting(*args, _fn=lat.exp_map):
+            calls.append(len(args[0]))
+            return _fn(*args)
+
+        monkeypatch.setattr(lat, "exp_map", counting)
+        wk.evolve(state, field, cfg, 50)
+        assert calls == []
+
+
 class TestGaugeCovariance:
     def test_transform_preserves_probabilities(self):
         spec, _ = spec_and_identity()
