@@ -2,17 +2,16 @@
 pseudo-spectral in space, second-order Runge-Kutta in time.
 
 A SpinorField holds either point values on the grid or their DFT
-coefficients (its `spectral` flag).  `solve` always marches the
-coefficients.  A potential uniform in x acts mode by mode and needs no FFT
-per step, a per-point one acts on point values, with one FFT out and one
-back per right-hand side.
+coefficients (its `spectral` flag).  A potential uniform in x acts mode by
+mode on either; one per point acts only on point values.
 
 `solve` chooses its march once, from the potential's t = 0 sample.  For one
-uniform in x, no two modes couple, and it marches only the packet's Fourier
-band: the coefficient rows |m| <= M that hold every row above BAND_CUTOFF of
-the largest, as a grid of 2M + 1 points with the caller's period and x_min.
-Such a potential must stay uniform; one per point at t = 0 is marched on
-the caller's whole grid and may take either shape later.
+uniform in x, no two modes couple, and it marches only the coefficients of
+the packet's Fourier band, with no FFT per step: the rows |m| <= M that
+hold every row above BAND_CUTOFF of the largest, as a grid of 2M + 1 points
+with the caller's period and x_min.  Such a potential must stay uniform.
+Otherwise it marches point values on the caller's grid (one FFT out and one
+back per right-hand side), and the potential may take either shape later.
 
 Each grid keeps, once per N, the derivative symbol ik and the chirality sign
 (+1 on psi^-, -1 on psi^+) tiled to a spinor's (n, 2N) shape
@@ -27,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import LatticeSpec, sample_potential, sample_potentials
+from .lattice import LatticeSpec, sample_potentials
 from .unitary import DimensionError, GeneratorSet
 
 # coefficient rows at or below this fraction of the largest row are left out
@@ -153,8 +152,8 @@ def spectral_derivative(f: SpinorField) -> SpinorField:
 class DiracParams:
     """mass plus coordinate functions b0, b1: (t, x-array) -> coordinates of
     the gauge potential, read as a pair by lattice.sample_potentials;
-    (count,) means uniform in x, (n, count) one per point.  solve takes the
-    potential as its t = 0 sample is: uniform at every t, or per point."""
+    (count,) means uniform in x, (n, count) one per point (see solve for a
+    potential that changes shape)."""
 
     mass: float
     b0: object
@@ -192,18 +191,19 @@ def dirac_rhs(f: SpinorField, params: DiracParams, t: float) -> SpinorField:
     """d/dt Psi with
        d0 psi^- = +d1 psi^- + i (B0 - B1) psi^- - i m psi^+
        d0 psi^+ = -d1 psi^+ + i (B0 + B1) psi^+ - i m psi^-,
-    in f's representation."""
+    in f's representation; a per-point sample on a spectral f is refused."""
     if f.dim != params.gens.dim:
         raise DimensionError("field and generator dimensions disagree")
-    d = spectral_derivative(f)
     c = coupling_matrix(*params.potential_matrices(t, f.grid.positions()), params.mass)
     if c.ndim == 2:
         out = f.values @ c.T
+    elif f.spectral:
+        raise DimensionError(f"potential sample at t={t:.6g} is per point but acts on Fourier "
+                             "coefficients: solve marches them when the sample at t = 0 is uniform "
+                             "in x; return it per point at every t")
     else:
-        # a per-point coupling multiplies point values
-        out = np.einsum("pij,pj->pi", c, f.to_physical().values)
-        if f.spectral:
-            out = np.fft.fft(out, axis=0)
+        out = np.einsum("pij,pj->pi", c, f.values)
+    d = spectral_derivative(f)
     # signed in place: a field-sized temporary per call costs page faults
     # on large grids
     dv = d.values
@@ -262,15 +262,13 @@ def gaussian_packet(k0: float, sigma: float, color: np.ndarray, grid: SpectralGr
     return SpinorField(grid, dim, values / norm)
 
 
-def _band(full: SpinorField, params: DiracParams):
-    """The band march's start: the rows |m| <= M of the coefficients `full`
-    on a grid of 2M + 1 points with full's period and x_min, and params with
-    b0, b1 sampled on full's points.  M is the largest |m| of a row above
-    BAND_CUTOFF of the largest row, and at least 4 (a grid has 8 points or
-    more).  None when the t = 0 sample of the potential is per point, that
-    grid would not be smaller than full's, or full is not finite.  A later
-    per-point sample raises DimensionError naming its t, so a per-point
-    coupling never reaches the band grid."""
+def _band(full: SpinorField, params: DiracParams) -> SpinorField | None:
+    """The band march's start: the rows |m| <= M of full's coefficients on a
+    grid of 2M + 1 points with full's period and x_min.  M is the largest |m|
+    of a row above BAND_CUTOFF of the largest row, and at least 4 (a grid has
+    8 points or more).  None when the t = 0 sample of the potential is per
+    point, that grid would not be smaller than full's, or full is not
+    finite."""
     values, n = full.values, full.grid.n_points
     x, count = full.grid.positions(), len(params.gens)
     if not np.isfinite(values).all() or sample_potentials(params.b0, params.b1, 0.0, x, count)[0].ndim == 2:
@@ -281,24 +279,11 @@ def _band(full: SpinorField, params: DiracParams):
     if 2 * m + 1 >= n:
         return None
     grid = SpectralGrid(2 * m + 1, full.grid.x_min, full.grid.length / (2 * m + 1))
-
-    def on_caller_grid(fn):
-        def sample(t, _):
-            coords = np.asarray(fn(t, x), dtype=float)
-            if coords.shape != (count,):
-                sample_potential(fn, t, x, count)  # refuses a sample of no valid shape
-                raise DimensionError(f"potential sample at t={t:.6g} is per point but was uniform in x "
-                                     "at t = 0, so solve marches the band; return it per point at every t")
-            return coords
-        return sample
-
-    band = SpinorField(grid, full.dim, np.concatenate((values[: m + 1], values[n - m :])), True)
-    return band, DiracParams(params.mass, on_caller_grid(params.b0), on_caller_grid(params.b1),
-                             params.gens)
+    return SpinorField(grid, full.dim, np.concatenate((values[: m + 1], values[n - m :])), True)
 
 
 def _padded(f: SpinorField, grid: SpectralGrid) -> SpinorField:
-    """Band coefficients f as coefficients on `grid`, zero outside the band."""
+    """Band coefficients f as coefficients on `grid`, zero outside the band (f if on `grid`)."""
     if f.grid is grid:
         return f
     m = f.grid.n_points // 2
@@ -311,24 +296,23 @@ def solve(initial: SpinorField, params: DiracParams, t_max: float, dt: float) ->
     """March with rk2_step from t = 0 to t_max (last step shortened to land
     exactly on t_max); aborts with NumericalAbort on non-finite values.
 
-    The march runs on the Fourier coefficients, with one transform in and
-    one out.  It is chosen once, from the potential's t = 0 sample: on the
-    packet's band only (see _band) for a sample uniform in x, on the
-    caller's whole grid otherwise.  The caller receives an x-space field on
-    its own grid."""
+    The march is chosen once, from the potential's t = 0 sample: the
+    coefficients of the packet's band (see _band) when it is uniform in x and
+    the band is smaller than the grid, where a later per-point sample is a
+    DimensionError naming its t; point values on the caller's grid
+    otherwise.  The caller receives an x-space field on its own grid."""
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not 0 <= t_max < np.inf:
         raise ValueError(f"t_max must be >= 0 and finite, got {t_max!r}")
     if t_max <= 1e-12:  # no step to take
         return initial.to_physical()
-    full = initial.to_spectral()
-    f, march = _band(full, params) or (full, params)
+    f = _band(initial.to_spectral(), params) or initial.to_physical()
     t = 0.0
     while t < t_max - 1e-12:
         h = min(dt, t_max - t)
-        f = rk2_step(f, march, t, h)
+        f = rk2_step(f, params, t, h)
         t += h
         if not np.isfinite(f.values).all():
             raise NumericalAbort(t)
-    return _padded(f, full.grid).to_physical()
+    return _padded(f, initial.grid).to_physical()

@@ -309,14 +309,13 @@ def gauge_check_residuals(dim: int, spec: lattice.LatticeSpec, seed: int, steps:
 
     covariance = 0.0
     factorization = 0.0
-    sites = rng.integers(-spec.p_max, spec.p_max + 1, size=8)
-    js = rng.integers(1, spec.j_max, size=8)
-    for j, p in zip(js, sites):
-        f_plain = lattice.discrete_curvature(field_, int(j), int(p))
-        f_primed = lattice.discrete_curvature(field_t, int(j), int(p))
-        conj = lattice.curvature_gauge_conjugator(g, int(j), int(p))
-        covariance = max(covariance, float(np.max(np.abs(f_primed - conj @ f_plain @ conj.conj().T))))
-        resid, branch = lattice.curvature_factorization_check(field_, int(j), int(p))
+    # every site of 8 random slices
+    for j in map(int, rng.integers(1, spec.j_max, size=8)):
+        f_plain = lattice.curvature_slice(field_, j)
+        f_primed = lattice.curvature_slice(field_t, j)
+        conj = lattice.curvature_gauge_conjugator(g, j)
+        covariance = max(covariance, float(np.max(np.abs(f_primed - conj @ f_plain @ conj.conj().mT))))
+        resid, branch = lattice.curvature_factorization_check(field_, j)
         if not branch:
             factorization = max(factorization, resid)
 
@@ -346,21 +345,20 @@ def run_gauge_check(cfg: ExperimentConfig, trials: int = 20, tol: float = 1e-10)
     return report
 
 
-def curvature_order_table(b0, b1, epsilons, t_star: float = 1.0,
-                          x_star: float = 0.0) -> dict:
-    """Max-norm of the curvature remainder F - 1 - 4i eps^2 F10 at a fixed
-    physical point, per epsilon, with the observed halving order.  F10 is the
+def curvature_order_table(b0, b1, epsilons) -> dict:
+    """Max-norm of the curvature remainder F - 1 - 4i eps^2 F10 at the point
+    (t, x) = (1, 0), per epsilon, with the observed halving order.  F10 is the
     continuum field-strength; the leading correction to the discrete
     curvature is 4i eps^2 F10 (anti-Hermitian, as the log of a unitary)."""
     gens = unitary.generators_u(2)
     remainders = []
     extracted_err = []
     for eps in epsilons:
-        j = int(round(t_star / eps))
+        j = int(round(1.0 / eps))
         spec = lattice.LatticeSpec(eps, 4, j + 2)
         field_ = lattice.GaugeField.from_potentials(b0, b1, spec, gens)
         f = lattice.discrete_curvature(field_, j, 0)
-        f10 = lattice.continuous_curvature(b0, b1, gens, spec.time(j), x_star, h=1e-5)
+        f10 = lattice.continuous_curvature(b0, b1, gens, spec.time(j), 0.0, h=1e-5)
         remainders.append(float(np.max(np.abs(f - np.eye(2) - 4j * eps**2 * f10))))
         extracted = (f - np.eye(2)) / (4j * eps**2)
         extracted_err.append(float(np.max(np.abs(extracted - f10))))
@@ -403,10 +401,8 @@ def abelian_consistency_residual(seed: int) -> float:
     field_ = lattice.abelian_field(y)
     worst = 0.0
     for j in range(1, spec.j_max):
-        for p in range(-spec.p_max, spec.p_max + 1):
-            f = lattice.discrete_curvature(field_, j, p)[0, 0]
-            _, phase = lattice.abelian_discrete_curvature(y, j, p)
-            worst = max(worst, abs(f - phase))
+        _, phase = lattice.abelian_discrete_curvature(y, j)
+        worst = max(worst, float(np.max(np.abs(lattice.curvature_slice(field_, j)[:, 0, 0] - phase))))
     return worst
 
 

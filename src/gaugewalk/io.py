@@ -22,14 +22,17 @@ def write_state_csv(path, positions: np.ndarray, values: np.ndarray, origin: str
     if origin not in ("walk", "dirac"):
         raise ValueError(f"origin must be 'walk' or 'dirac', got {origin!r}")
     values = np.ascontiguousarray(values, dtype=complex)
+    positions = np.asarray(positions, dtype=float)
     n, ncomp = values.shape
+    if positions.shape != (n,):
+        raise ValueError(f"positions have shape {positions.shape}, expected {(n,)} for {n} rows")
     p_max = (n - 1) // 2
     header = ["p", "x_p"]
     for c in range(ncomp):
         header += [f"re_{c}", f"im_{c}"]
     header += ["prob", "origin"]
     # a complex row viewed as floats is re/im interleaved per component
-    rows = zip(range(-p_max, n - p_max), np.asarray(positions, dtype=float).tolist(),
+    rows = zip(range(-p_max, n - p_max), positions.tolist(),
                values.view(float).tolist(), row_probabilities(values).tolist())
     # each row as csv.writer writes it: the repr of every float, none of
     # which needs quoting, then csv's "\r\n"

@@ -86,25 +86,27 @@ def _check_links(links: np.ndarray, spec: LatticeSpec, j: int, kinds: str) -> No
     raise UnitarityError(f"{kinds[k]} slice j={j + l} not unitary (defect {per_link[l, k]:.2e})")
 
 
-def sample_potential(fn, t: float, x: np.ndarray, count: int) -> np.ndarray:
-    """fn(t, x) as real coordinates in a basis of `count` generators: shape
-    (count,) for a potential uniform in x, (len(x), count) for one per point.
-    Any other shape, or a non-finite entry, is refused."""
-    coords = np.asarray(fn(t, x), dtype=float)
-    if coords.shape != (count,) and coords.shape != (len(x), count):
-        raise DimensionError(f"potential sample at t={t} has shape {coords.shape}, "
-                             f"expected {(count,)} or {(len(x), count)}")
-    if not np.isfinite(coords).all():
-        bad = np.argwhere(~np.isfinite(coords))[0]
-        raise ValueError(f"non-finite potential sample at t={t}"
-                         + (f", x={x[bad[0]]}" if coords.ndim == 2 else ""))
-    return coords
-
-
 def sample_potentials(b0, b1, t: float, x: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(b0, b1)(t, x), each read by sample_potential, at one shape: a member
-    uniform in x beside one per point is broadcast (read-only) to its shape."""
-    c0, c1 = sample_potential(b0, t, x, count), sample_potential(b1, t, x, count)
+    """(b0, b1)(t, x) as real coordinates in a basis of `count` generators,
+    at one shape.  Each sample is (count,) for a potential uniform in x or
+    (len(x), count) for one per point; a uniform member beside a per-point
+    one is broadcast (read-only) to its shape.  Any other shape, a nonzero
+    imaginary part or a non-finite entry is refused."""
+    pair = []
+    for fn in (b0, b1):
+        coords = np.asarray(fn(t, x))
+        if coords.shape != (count,) and coords.shape != (len(x), count):
+            raise DimensionError(f"potential sample at t={t} has shape {coords.shape}, "
+                                 f"expected {(count,)} or {(len(x), count)}")
+        if np.iscomplexobj(coords) and np.any(coords.imag != 0):
+            raise ValueError(f"potential sample at t={t} has a nonzero imaginary part")
+        coords = np.asarray(coords.real, dtype=float)
+        if not np.isfinite(coords).all():
+            bad = np.argwhere(~np.isfinite(coords))[0]
+            raise ValueError(f"non-finite potential sample at t={t}"
+                             + (f", x={x[bad[0]]}" if coords.ndim == 2 else ""))
+        pair.append(coords)
+    c0, c1 = pair
     if c0.shape != c1.shape:
         c0, c1 = (np.broadcast_to(c, (len(x), count)) for c in (c0, c1))
     return c0, c1
@@ -284,7 +286,8 @@ def transform_potentials(field_: GaugeField, g: GaugeTransformation) -> GaugeFie
         js = range(j, j + count)
         gs = np.array([g.G(k) for k in range(j, j + count + 1)])  # each G once, in ascending j
         g_up, g_inv = gs[1:], _dagger(gs[:-1])
-        p, q = np.array([field_.P(k) for k in js]), np.array([field_.Q(k) for k in js])
+        # the first request builds the field's slices j .. j + count - 1 as one run
+        p, q = np.array([field_.P(k, j + count - k) for k in js]), np.array([field_.Q(k) for k in js])
         return np.stack((g_up @ p @ g_inv[:, right], g_up @ q @ g_inv[:, left]), 1)
 
     return GaugeField(field_.spec, field_.dim, run)
@@ -331,12 +334,13 @@ def discrete_curvature(field_: GaugeField, j: int, p: int) -> np.ndarray:
     return curvature_slice(field_, j)[field_.spec.site_index(p)]
 
 
-def curvature_gauge_conjugator(g: GaugeTransformation, j: int, p: int) -> np.ndarray:
-    """The matrix G_{j-1,p+1} conjugating the curvature under a gauge change:
+def curvature_gauge_conjugator(g: GaugeTransformation, j: int) -> np.ndarray:
+    """G_{j-1,p+1} at the index of every site p of slice j, the matrices
+    conjugating the curvature under a gauge change:
     F'_{j,p} = G_{j-1,p+1} F_{j,p} G^-1_{j-1,p+1}."""
     if j < 1:
         raise SiteRangeError("conjugator needs slice j-1")
-    return g.G(j - 1)[g.spec.site_index(p + 1)]
+    return np.roll(g.G(j - 1), -1, axis=0)
 
 
 def continuous_curvature(b0, b1, gens: GeneratorSet, t: float, x: float, h: float = 1e-5) -> np.ndarray:
@@ -389,34 +393,28 @@ def abelian_field(y: AbelianPotential) -> GaugeField:
     return GaugeField.from_arrays(y.spec, p_arr, q_arr)
 
 
-def _f10_at(y: AbelianPotential, j: int, i: int) -> float:
-    """f10 = d1 Y0 - d0 Y1 at time index j, array index i, with
-    d0 = L0 - Sigma_1 and d1 = Delta_1 (central difference)."""
-    n = y.spec.n_sites
-    ip, im = (i + 1) % n, (i - 1) % n
-    d1_y0 = (y.Y0[j, ip] - y.Y0[j, im]) / 2
-    d0_y1 = y.Y1[j + 1, i] - (y.Y1[j, ip] + y.Y1[j, im]) / 2
-    return d1_y0 - d0_y1
-
-
-def abelian_discrete_curvature(y: AbelianPotential, j: int, p: int) -> tuple[float, complex]:
-    """Returns (f10 at (j,p), the U(1) curvature phase exp[2i (I f10)_{j,p}])
-    with the smoothing operator I = 1 + L0^-1 L1^-1."""
+def abelian_discrete_curvature(y: AbelianPotential, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(f10, the U(1) curvature phase exp[2i (I f10)]) at every site of slice
+    j, each of shape (n_sites,).  f10 = d1 Y0 - d0 Y1 with d0 = L0 - Sigma_1
+    and d1 = Delta_1 (central difference); the smoothing operator is
+    I = 1 + L0^-1 L1^-1, so (I f10)_{j,p} = f10_{j,p} + f10_{j-1,p-1}."""
     if not 1 <= j <= y.spec.j_max - 1:
         raise SiteRangeError(f"abelian curvature needs 1 <= j <= j_max-1, got {j}")
-    i = y.spec.site_index(p)
-    f_here = _f10_at(y, j, i)
-    f_back = _f10_at(y, j - 1, (i - 1) % y.spec.n_sites)
-    return f_here, complex(np.exp(2j * (f_here + f_back)))
+    # f10 on slices j-1 and j; rolling by -1 (+1) puts site p+1 (p-1) at the index of p
+    y0, y1 = y.Y0[j - 1 : j + 1], y.Y1[j - 1 : j + 2]
+    d1_y0 = (np.roll(y0, -1, 1) - np.roll(y0, 1, 1)) / 2
+    d0_y1 = y1[1:] - (np.roll(y1[:-1], -1, 1) + np.roll(y1[:-1], 1, 1)) / 2
+    f10 = d1_y0 - d0_y1
+    f_here, f_back = f10[1], np.roll(f10[0], 1)
+    return f_here, np.exp(2j * (f_here + f_back))
 
 
-def curvature_factorization_check(field_: GaugeField, j: int, p: int) -> tuple[float, bool]:
-    """Residual of F(R) = F(delta_R) F(Rbar) at one site, where every P, Q is
-    split into its U(1) phase and SU(N) part.  Also reports whether any
-    factorization sat on the det = -1 branch cut."""
+def curvature_factorization_check(field_: GaugeField, j: int) -> tuple[float, bool]:
+    """Largest residual of F(R) = F(delta_R) F(Rbar) over the sites of slice
+    j, where every P, Q is split into its U(1) phase and SU(N) part.  Also
+    reports whether any factorization sat on the det = -1 branch cut."""
     pq = np.array(_around(field_, j))
     split = factorize(pq)
-    i = field_.spec.site_index(p)
-    f_full, f_delta, f_bar = (_curvature(part)[i] for part in (pq, split.delta[..., None, None], split.special))
-    residual = float(np.max(np.abs(f_full - complex(f_delta[0, 0]) * f_bar)))
+    f_full, f_delta, f_bar = (_curvature(part) for part in (pq, split.delta[..., None, None], split.special))
+    residual = float(np.max(np.abs(f_full - f_delta * f_bar)))
     return residual, bool(np.any(split.branch_discontinuous))

@@ -330,6 +330,14 @@ def x_space_march(f, params, t_max, dt):
     return f
 
 
+def per_point_params(dim, seed=0):
+    """A potential that varies in x and t, one coordinate vector per point."""
+    gens = un.generators_u(dim)
+    coef = np.random.default_rng(dim + seed).normal(0, 0.5, (2, len(gens)))
+    return dr.DiracParams(0.3, lambda t, x: np.sin(x)[:, None] * coef[0],
+                          lambda t, x: np.cos(0.5 * x + t)[:, None] * coef[1], gens)
+
+
 def random_field(grid, dim, seed):
     rng = np.random.default_rng(seed)
     shape = (grid.n_points, 2 * dim)
@@ -373,17 +381,28 @@ class TestSpectralMarch:
 
     @pytest.mark.parametrize("n_points", [33, 64])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_per_point_rhs_on_spectral_field_equals_x_space_rhs(self, dim, n_points):
+    def test_per_point_rhs_on_spectral_field_is_refused(self, dim, n_points):
         grid = dr.SpectralGrid(n_points, -0.25 * n_points, 0.5)
-        gens = un.generators_u(dim)
-        coef = np.random.default_rng(dim).normal(0, 0.5, (2, len(gens)))
-        params = dr.DiracParams(0.3, lambda t, x: np.sin(x)[:, None] * coef[0],
-                                lambda t, x: np.cos(0.5 * x + t)[:, None] * coef[1], gens)
+        params = per_point_params(dim)
         f = random_field(grid, dim, seed=n_points)
-        got = dr.dirac_rhs(f.to_spectral(), params, 0.4)
-        want = dr.dirac_rhs(f, params, 0.4).to_spectral()
-        assert got.spectral
-        assert np.max(np.abs(got.values - want.values)) <= 1e-13
+        with pytest.raises(un.DimensionError, match=r"^potential sample at t=0\.4 is per point .*"
+                                                   r"return it per point at every t$"):
+            dr.dirac_rhs(f.to_spectral(), params, 0.4)
+        assert not dr.dirac_rhs(f, params, 0.4).spectral
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.integers(8, 41), st.integers(0, 10_000), st.booleans())
+    def test_per_point_solve_is_the_x_space_march_bit_for_bit(self, dim, n_points, seed, spectral):
+        grid = dr.SpectralGrid(n_points, -0.25 * n_points, 0.5)
+        params = per_point_params(dim, seed)
+        f = random_field(grid, dim, seed + 1)
+        want = x_space_march(f, params, 0.53, 0.02)
+        got = dr.solve(f.to_spectral() if spectral else f, params, 0.53, 0.02)
+        assert not got.spectral
+        if spectral:  # one transform in and one out
+            assert np.max(np.abs(got.values - want.values)) <= 1e-13
+        else:
+            assert np.array_equal(got.values, want.values)
 
     @pytest.mark.parametrize("n_points", [31, 32])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -477,7 +496,7 @@ class TestBandMarch:
             rows = marched_rows(monkeypatch)
             got = dr.solve(f, params, 0.53, 0.02)
             assert rows == [n_points] * 27
-            assert np.max(np.abs(got.values - want.values)) <= 1e-13
+            assert np.array_equal(got.values, want.values)
             return
         # uniform at t = 0, so solve marches the band, which refuses the
         # first per-point sample: the step from t = 0.26 meets it

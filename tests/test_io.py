@@ -134,6 +134,14 @@ class TestStateCsv:
         gio.write_state_csv(got, positions, values, origin)
         assert got.read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("count", [5, 16, 18])
+    def test_refuses_positions_that_do_not_match_the_rows(self, tmp_path, count):
+        values = np.ones((17, 4), dtype=complex)
+        path = tmp_path / "state.csv"
+        with pytest.raises(ValueError, match=rf"^positions have shape \({count},\), expected \(17,\) for 17 rows$"):
+            gio.write_state_csv(path, np.arange(count, dtype=float), values, "walk")
+        assert not path.exists()
+
     def test_refuses_an_unknown_origin(self, tmp_path):
         state = make_state()
         with pytest.raises(ValueError, match="origin must be"):

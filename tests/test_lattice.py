@@ -280,6 +280,21 @@ class TestSamplePotentials:
         with pytest.raises(ValueError, match=r"^non-finite potential sample at t=0\.5$"):
             lat.sample_potentials(lambda t, xx: np.full(4, np.nan), ok, 0.5, x, 4)
 
+    def test_a_complex_sample_is_refused_naming_t(self):
+        spec = small_spec()
+        x = spec.positions()
+        ok = lambda t, xx: np.zeros(4)
+        for b1 in (lambda t, xx: np.array([0, 1j * t, 0, 0]),
+                   lambda t, xx: np.outer(xx, [0, 1j * t, 0, 0])):
+            with pytest.raises(ValueError, match=r"^potential sample at t=0\.5 has a nonzero imaginary part$"):
+                lat.sample_potentials(ok, b1, 0.5, x, 4)
+        field = lat.GaugeField.from_potentials(ok, b1, spec, un.generators_u(2))
+        with pytest.raises(ValueError, match=r"^potential sample at t=0\.2 has a nonzero imaginary part$"):
+            field.P(2)
+        # a complex sample with no imaginary part is its real part
+        c0, _ = lat.sample_potentials(lambda t, xx: np.arange(4) + 0j, ok, 0.5, x, 4)
+        assert c0.dtype == float and np.array_equal(c0, np.arange(4.0))
+
 
 class TestPotentialRuns:
     """A potential is built a run of slices at a time, while its samples keep
@@ -708,17 +723,94 @@ class TestDiscreteCurvature:
             lat.curvature_slice(f, spec.j_max)
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 4), st.integers(0, 10_000), st.integers(1, 7), st.integers(-5, 5))
-    def test_unitary_and_covariant(self, dim, seed, j, p):
+    @given(st.integers(1, 4), st.integers(0, 10_000), st.integers(1, 7))
+    def test_unitary_and_covariant(self, dim, seed, j):
         spec = small_spec()
         f = lat.GaugeField.random(spec, dim, seed=seed, scale=0.6)
         g = lat.GaugeTransformation.random(spec, dim, seed=seed + 1, scale=0.6)
         ft = lat.transform_potentials(f, g)
-        fc = lat.discrete_curvature(f, j, p)
+        fc = lat.curvature_slice(f, j)
         assert un.unitarity_defect(fc) <= 1e-12
-        fct = lat.discrete_curvature(ft, j, p)
-        conj = lat.curvature_gauge_conjugator(g, j, p)
-        assert np.max(np.abs(fct - conj @ fc @ conj.conj().T)) <= 1e-12
+        conj = lat.curvature_gauge_conjugator(g, j)
+        assert conj.shape == fc.shape
+        assert np.max(np.abs(lat.curvature_slice(ft, j) - conj @ fc @ conj.conj().mT)) <= 1e-12
+
+    def test_discrete_curvature_is_a_site_of_the_slice(self):
+        f = lat.GaugeField.random(small_spec(), 2, seed=3)
+        for p in (-5, 0, 2, 5, 6):
+            assert np.array_equal(lat.discrete_curvature(f, 3, p),
+                                  lat.curvature_slice(f, 3)[f.spec.site_index(p)])
+
+    def test_conjugator_range_checked(self):
+        g = lat.GaugeTransformation.random(small_spec(), 2, seed=1)
+        with pytest.raises(lat.SiteRangeError, match="^conjugator needs slice j-1$"):
+            lat.curvature_gauge_conjugator(g, 0)
+
+
+def site_curvature(pq, i):
+    """F_{j,p} at array index i, one site at a time from the definition
+    F = U+_{j-1,p} V+_{j,p-1} U_{j+1,p} V_{j,p+1}, with U_{j,p} = Q+ P and
+    V_{j,p} = Q_{j,p} P_{j-1,p-1}; pq[k] = (P, Q) on slices j-1, j, j+1."""
+    (p0, q0), (_, q1), (p2, q2) = pq
+    n = len(p0)
+    dag = lambda a: a.conj().T
+
+    def v(s):
+        return q1[s % n] @ p0[(s - 1) % n]
+
+    return dag(dag(q0[i]) @ p0[i]) @ dag(v(i - 1)) @ (dag(q2[i]) @ p2[i]) @ v(i + 1)
+
+
+def site_f10(y, j, i):
+    """f10 = d1 Y0 - d0 Y1 at slice j and array index i, one site at a time."""
+    n = y.spec.n_sites
+    d1_y0 = (y.Y0[j, (i + 1) % n] - y.Y0[j, (i - 1) % n]) / 2
+    d0_y1 = y.Y1[j + 1, i] - (y.Y1[j, (i + 1) % n] + y.Y1[j, (i - 1) % n]) / 2
+    return d1_y0 - d0_y1
+
+
+class TestSlicesEqualPerSiteFormulas:
+    """Each curvature function returns a whole slice; at every site it equals
+    the per-site formula written out here."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 10_000), st.integers(1, 7))
+    def test_curvature_conjugator_and_factorization(self, dim, seed, j):
+        spec = small_spec()
+        f = lat.GaugeField.random(spec, dim, seed=seed, scale=0.5)
+        g = lat.GaugeTransformation.random(spec, dim, seed=seed + 1, scale=0.5)
+        pq = [(f.P(k), f.Q(k)) for k in (j - 1, j, j + 1)]
+        curvature = lat.curvature_slice(f, j)
+        conj = lat.curvature_gauge_conjugator(g, j)
+        # each link split on its own into its U(1) phase and SU(N) part
+        parts = [[[un.factorize(links[s]) for s in range(spec.n_sites)] for links in pair] for pair in pq]
+        delta = [[np.array([[[part.delta]] for part in kind]) for kind in pair] for pair in parts]
+        special = [[np.array([part.special for part in kind]) for kind in pair] for pair in parts]
+        residuals = []
+        for i in range(spec.n_sites):
+            p = i - spec.p_max
+            assert np.max(np.abs(curvature[i] - site_curvature(pq, i))) <= 1e-13
+            assert np.array_equal(conj[i], g.G(j - 1)[spec.site_index(p + 1)])
+            f_delta, f_bar = site_curvature(delta, i), site_curvature(special, i)
+            residuals.append(np.max(np.abs(site_curvature(pq, i) - f_delta[0, 0] * f_bar)))
+        residual, branch = lat.curvature_factorization_check(f, j)
+        assert branch == any(part.branch_discontinuous for pair in parts for kind in pair for part in kind)
+        assert residual == pytest.approx(max(residuals), rel=0, abs=1e-15)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 7), st.integers(1, 7))
+    def test_abelian_curvature(self, seed, p_max, j):
+        rng = np.random.default_rng(seed)
+        spec = small_spec(p_max=p_max)
+        shape = (spec.j_max + 1, spec.n_sites)
+        y = lat.AbelianPotential(spec, rng.normal(0, 0.8, shape), rng.normal(0, 0.8, shape))
+        f10, phase = lat.abelian_discrete_curvature(y, j)
+        assert f10.shape == phase.shape == (spec.n_sites,)
+        for i in range(spec.n_sites):
+            # (I f10)_{j,p} = f10_{j,p} + f10_{j-1,p-1}
+            here, back = site_f10(y, j, i), site_f10(y, j - 1, (i - 1) % spec.n_sites)
+            assert f10[i] == here
+            assert phase[i] == complex(np.exp(2j * (here + back)))
 
 
 class TestContinuousCurvature:
@@ -796,9 +888,17 @@ class TestAbelian:
         spec = small_spec()
         shape = (spec.j_max + 1, spec.n_sites)
         y = lat.AbelianPotential(spec, np.zeros(shape), np.zeros(shape))
-        f10, phase = lat.abelian_discrete_curvature(y, 2, 0)
-        assert f10 == 0.0
-        assert phase == 1.0 + 0.0j
+        f10, phase = lat.abelian_discrete_curvature(y, 2)
+        assert np.array_equal(f10, np.zeros(spec.n_sites))
+        assert np.array_equal(phase, np.ones(spec.n_sites, dtype=complex))
+
+    def test_range_checked(self):
+        spec = small_spec()
+        shape = (spec.j_max + 1, spec.n_sites)
+        y = lat.AbelianPotential(spec, np.zeros(shape), np.zeros(shape))
+        for j in (0, spec.j_max):
+            with pytest.raises(lat.SiteRangeError, match=f"^abelian curvature needs 1 <= j <= j_max-1, got {j}$"):
+                lat.abelian_discrete_curvature(y, j)
 
     def test_linear_time_ramp_f10(self):
         # Y1_{j,p} = eps^2 E j gives f10 = -eps^2 E, uniform
@@ -807,8 +907,8 @@ class TestAbelian:
         shape = (spec.j_max + 1, spec.n_sites)
         y1 = (spec.epsilon ** 2) * e * np.arange(spec.j_max + 1)[:, None] * np.ones(shape)
         y = lat.AbelianPotential(spec, np.zeros(shape), y1)
-        f10, _ = lat.abelian_discrete_curvature(y, 3, 1)
-        assert f10 == pytest.approx(-spec.epsilon ** 2 * e, abs=1e-14)
+        f10, _ = lat.abelian_discrete_curvature(y, 3)
+        assert np.max(np.abs(f10 + spec.epsilon ** 2 * e)) <= 1e-14
 
     def test_pipeline_matches_matrix_curvature(self):
         rng = np.random.default_rng(5)
@@ -816,20 +916,16 @@ class TestAbelian:
         shape = (spec.j_max + 1, spec.n_sites)
         y = lat.AbelianPotential(spec, rng.normal(0, 0.8, shape), rng.normal(0, 0.8, shape))
         f = lat.abelian_field(y)
-        worst = 0.0
         for j in range(1, spec.j_max):
-            for p in range(-spec.p_max, spec.p_max + 1):
-                matrix = lat.discrete_curvature(f, j, p)[0, 0]
-                _, phase = lat.abelian_discrete_curvature(y, j, p)
-                worst = max(worst, abs(matrix - phase))
-        assert worst <= 1e-12
+            _, phase = lat.abelian_discrete_curvature(y, j)
+            assert np.max(np.abs(lat.curvature_slice(f, j)[:, 0, 0] - phase)) <= 1e-12
 
 
 class TestFactorizationCheck:
     def test_identity_field(self):
         spec = small_spec()
         f = lat.GaugeField.identity(spec, 2)
-        residual, branch = lat.curvature_factorization_check(f, 3, 0)
+        residual, branch = lat.curvature_factorization_check(f, 3)
         assert residual <= 1e-14
         assert not branch
 
@@ -838,16 +934,16 @@ class TestFactorizationCheck:
         gens = un.generators_su(2)
         b = lambda t, x: np.array([0.2 * t, -0.1, 0.3])
         f = lat.GaugeField.from_potentials(b, b, spec, gens)
-        residual, branch = lat.curvature_factorization_check(f, 3, 2)
+        residual, branch = lat.curvature_factorization_check(f, 3)
         assert not branch
         assert residual <= 1e-12
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 4), st.integers(0, 10_000), st.integers(1, 7), st.integers(-5, 5))
-    def test_random_field(self, dim, seed, j, p):
+    @given(st.integers(1, 4), st.integers(0, 10_000), st.integers(1, 7))
+    def test_random_field(self, dim, seed, j):
         spec = small_spec()
         f = lat.GaugeField.random(spec, dim, seed=seed, scale=0.5)
-        residual, branch = lat.curvature_factorization_check(f, j, p)
+        residual, branch = lat.curvature_factorization_check(f, j)
         if not branch:
             assert residual <= 1e-12
 
@@ -859,7 +955,7 @@ class TestFactorizationCheck:
         p = np.array(np.broadcast_to(eye, (spec.j_max + 1,) + eye.shape))
         p[3, -1] = np.diag([1.0, -1.0])
         f = lat.GaugeField.from_arrays(spec, p, np.broadcast_to(eye, p.shape))
-        assert [lat.curvature_factorization_check(f, j, 0)[1] for j in range(1, 6)] == \
+        assert [lat.curvature_factorization_check(f, j)[1] for j in range(1, 6)] == \
             [False, True, True, True, False]
 
     def test_range_checked(self):
@@ -867,4 +963,4 @@ class TestFactorizationCheck:
         f = lat.GaugeField.identity(spec, 2)
         for j in (0, spec.j_max):
             with pytest.raises(lat.SiteRangeError):
-                lat.curvature_factorization_check(f, j, 0)
+                lat.curvature_factorization_check(f, j)

@@ -391,6 +391,29 @@ class TestGaugeCovariance:
         rhs = wk.gauge_transform_state(wk.step(state, field, cfg), g)
         assert np.max(np.abs(lhs.amplitudes - rhs.amplitudes)) <= 1e-12
 
+    def test_transformed_walk_first_builds_the_field_in_runs(self, monkeypatch):
+        # criterion 02's order: the transformed field is walked first, and its
+        # runs ask for the plain field's slices a run at a time, G's one at a time
+        spec = lat.LatticeSpec(0.1, 8, 52)
+        field = lat.GaugeField.random(spec, 2, seed=3, scale=0.5)
+        g = lat.GaugeTransformation.random(spec, 2, seed=4, scale=0.5)
+        state = random_state(spec, 2, seed=5)
+        cfg = wk.WalkConfig(2, 0.3)
+        calls, matrices = [], []
+
+        def counting(coords, gens, _fn=lat.exp_map):
+            calls.append(1)
+            matrices.append(np.prod(np.shape(coords)[:-1]))
+            return _fn(coords, gens)
+
+        monkeypatch.setattr(lat, "exp_map", counting)
+        lhs = wk.evolve(wk.gauge_transform_state(state, g), lat.transform_potentials(field, g), cfg, 50)
+        rhs = wk.gauge_transform_state(wk.evolve(state, field, cfg, 50), g)
+        # 51 G slices of one, and the field's 50 slices as runs of 32 and 18
+        assert len(calls) <= 53
+        assert sum(matrices) == 51 * spec.n_sites + 50 * 2 * spec.n_sites
+        assert np.max(np.abs(lhs.amplitudes - rhs.amplitudes)) <= 1e-12
+
     def test_mismatch_rejected(self):
         spec, _ = spec_and_identity()
         other = lat.LatticeSpec(0.2, 5, 8)
