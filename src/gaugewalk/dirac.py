@@ -187,6 +187,12 @@ def coupling_matrix(b0: np.ndarray, b1: np.ndarray, mass: float) -> np.ndarray:
     return c
 
 
+def _per_point_on_coefficients(t: float) -> DimensionError:
+    return DimensionError(f"potential sample at t={t:.6g} is per point but acts on Fourier "
+                          "coefficients: solve marches them when the sample at t = 0 is uniform "
+                          "in x; return it per point at every t")
+
+
 def dirac_rhs(f: SpinorField, params: DiracParams, t: float) -> SpinorField:
     """d/dt Psi with
        d0 psi^- = +d1 psi^- + i (B0 - B1) psi^- - i m psi^+
@@ -194,13 +200,19 @@ def dirac_rhs(f: SpinorField, params: DiracParams, t: float) -> SpinorField:
     in f's representation; a per-point sample on a spectral f is refused."""
     if f.dim != params.gens.dim:
         raise DimensionError("field and generator dimensions disagree")
-    c = coupling_matrix(*params.potential_matrices(t, f.grid.positions()), params.mass)
+    x = f.grid.positions()
+    try:
+        c = coupling_matrix(*params.potential_matrices(t, x), params.mass)
+    except DimensionError:
+        # rows that ignore x, sized for the caller's grid rather than the band's
+        per_point = (len(params.gens),)
+        if f.spectral and any(np.shape(fn(t, x))[1:] == per_point for fn in (params.b0, params.b1)):
+            raise _per_point_on_coefficients(t) from None
+        raise
     if c.ndim == 2:
         out = f.values @ c.T
     elif f.spectral:
-        raise DimensionError(f"potential sample at t={t:.6g} is per point but acts on Fourier "
-                             "coefficients: solve marches them when the sample at t = 0 is uniform "
-                             "in x; return it per point at every t")
+        raise _per_point_on_coefficients(t)
     else:
         out = np.einsum("pij,pj->pi", c, f.values)
     d = spectral_derivative(f)

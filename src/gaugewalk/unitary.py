@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +90,13 @@ class GeneratorSet:
     def __len__(self) -> int:
         return len(self.gens)
 
+    @cached_property
+    def _exp3_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """exp3.exp_3x3's tables for these generators (N = 3), made on first use."""
+        from .exp3 import tables
+
+        return tables(self.gens)
+
     def assemble(self, coords: np.ndarray) -> np.ndarray:
         """Sum_k coords[..., k] * gens[k], a Hermitian matrix per leading index."""
         coords = np.asarray(coords, dtype=float)
@@ -135,12 +143,18 @@ def _exp_2x2(h: np.ndarray) -> np.ndarray:
 
 def exp_map(coords: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     """exp(i sum_k X^k tau_k) of the Hermitian argument H, unitary up to
-    rounding.  Closed forms for N <= 2: the phase e^{iH} for N = 1, and
-    e^{i a0} (cos r 1 + i (sin r / r) K) for N = 2 (see _exp_2x2); N >= 3
-    goes through the eigendecomposition of H.  Supports batched coords."""
+    rounding.  Closed forms for N <= 3: the phase e^{iH} for N = 1,
+    e^{i a0} (cos r 1 + i (sin r / r) K) for N = 2 (see _exp_2x2) and the
+    Cayley-Hamilton form for N = 3 (see exp3.exp_3x3), each one code path for
+    every batch size; N >= 4 goes through the eigendecomposition of H.
+    Supports batched coords."""
     coords = np.asarray(coords, dtype=float)
     if not np.isfinite(coords).all():
         raise ValueError("non-finite coordinates")
+    if gens.dim == 3:
+        from .exp3 import exp_3x3  # loaded on first use, see exp3
+
+        return exp_3x3(coords, gens)
     h = gens.assemble(coords)
     if gens.dim == 1:
         return np.exp(1j * h)

@@ -508,6 +508,25 @@ class TestBandMarch:
         assert cli.report_failures(lambda: dr.solve(f, params, 0.53, 0.02)) == 1
         assert capsys.readouterr().err.startswith("config error: potential sample at t=0.26 is per point")
 
+    def test_rows_sized_for_the_callers_grid_are_refused_as_per_point(self, monkeypatch, capsys):
+        # uniform at t = 0, then one row per point of the caller's 128-point
+        # grid whatever x is: the band march samples it on its own, smaller grid
+        f = packet(2, 128, 1.0)
+        base = random_uniform_params(2, seed=2)
+        rows = np.random.default_rng(3).normal(0, 0.5, (128, len(base.gens)))
+
+        def b1(t, x):
+            return base.b1(t, x) if t < 0.255 else base.b1(t, x) + rows
+
+        params = dr.DiracParams(base.mass, base.b0, b1, base.gens)
+        marched = marched_rows(monkeypatch)
+        with pytest.raises(un.DimensionError, match=r"^potential sample at t=0\.26 is per point .*"
+                                                   r"return it per point at every t$"):
+            dr.solve(f, params, 0.53, 0.02)
+        assert marched == [marched[0]] * 14 and marched[0] < 128 // 2
+        assert cli.report_failures(lambda: dr.solve(f, params, 0.53, 0.02)) == 1
+        assert capsys.readouterr().err.startswith("config error: potential sample at t=0.26 is per point")
+
     def test_criterion_06_packet_marches_on_its_band(self, monkeypatch):
         cfg = ex.ExperimentConfig(experiment="convergence", dim=2, mass=0.1, e_ym=0.08,
                                   epsilons=(0.4, 0.2, 0.1, 0.05), sigma=0.5, k0=0.0,

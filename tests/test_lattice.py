@@ -503,6 +503,16 @@ class TestRuns:
             assert np.array_equal(whole[l, 0], run(2 + l, 1)[0, 0])
             assert np.array_equal(whole[l, 0], g.G(2 + l))
 
+    @pytest.mark.parametrize("ahead", [17, 32, 64])
+    def test_an_n3_random_slice_is_the_same_alone_or_in_a_run_of(self, ahead):
+        # exp_map's N = 3 closed form takes one path at every batch size
+        spec = small_spec(p_max=8, j_max=80)
+        run = lat._random_run(spec, 3, 11, 0, 0.8, 2)
+        for start in (0, 5):
+            links = run(start, ahead)
+            for l in (0, 1, ahead // 2, ahead - 1):
+                assert np.array_equal(links[l], run(start + l, 1)[0])
+
     @pytest.mark.parametrize("dim", DIMS)
     def test_a_run_clips_at_j_max_and_a_refused_request_builds_nothing(self, monkeypatch, dim):
         spec = small_spec(p_max=3, j_max=12)

@@ -293,3 +293,110 @@ class TestKernelsMatchReferences:
         m[1, 2] = bad
         assert not un.unitarity_defect(m) <= 1e300
         assert not un.unitarity_defect(np.array([np.eye(3), m])) <= 1e300
+
+
+def longdouble_exp(h):
+    """exp(iH) for a stack of H, by a Taylor series in long double after
+    scaling H to norm <= 1/8, then squaring back."""
+    h = np.asarray(h, dtype=np.clongdouble)
+    norm = float(np.abs(h).sum(-1).max())
+    s = max(0, int(np.ceil(np.log2(norm))) + 3) if norm > 0 else 0
+    a = 1j * h / np.longdouble(2) ** s
+    term = np.broadcast_to(np.eye(h.shape[-1], dtype=np.clongdouble), h.shape).copy()
+    out = term.copy()
+    for k in range(1, 25):
+        term = term @ a / k
+        out += term
+    for _ in range(s):
+        out = out @ out
+    return out.astype(complex)
+
+
+class TestExp3x3HardRegimes:
+    """The N = 3 closed form where it is hardest: coinciding or clustered
+    eigenvalues, either side of the limit formula (q1 = q3, reached once
+    tr Q^2 underflows), tiny and large r, against a long-double Taylor
+    reference and the eigh one."""
+
+    # eigenvalues of the traceless part (random when None), scaled to a
+    # largest |eigenvalue| r
+    REGIMES = {
+        "zero traceless part": ((0, 0, 0), 1.0),
+        "pair at +c0max": ((2, -1, -1), 0.7),
+        "pair at -c0max": ((1, 1, -2), 0.7),
+        "pair at +c0max, r=1e2": ((2, -1, -1), 1e2),
+        "pair at -c0max, r=1e2": ((1, 1, -2), 1e2),
+        "three within 1e-5": ((0.6, -0.1, -0.5), 1e-5),
+        "three within 1e-7": ((0.6, -0.1, -0.5), 1e-7),
+        "three within 1e-9": ((0.6, -0.1, -0.5), 1e-9),
+        "limit formula: tr Q^2 underflows to 0": ((0.6, -0.1, -0.5), 1e-170),
+        "quotient: tr Q^2 subnormal": ((0.6, -0.1, -0.5), 1e-160),
+        "quotient: tr Q^2 normal": ((0.6, -0.1, -0.5), 1e-150),
+        "r=1e-9": (None, 1e-9),
+        "r=1e2": (None, 1e2),
+    }
+
+    @pytest.mark.parametrize("su", [False, True], ids=["u3", "su3"])
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_matches_long_double_and_eigh(self, regime, su):
+        gens = un.generators_su(3) if su else un.generators_u(3)
+        spectrum, scale = self.REGIMES[regime]
+        rng = np.random.default_rng(sum(map(ord, regime)) + su)
+        norms = np.einsum("kij,kji->k", gens.gens, gens.gens).real
+        coords = []
+        for _ in range(24):
+            lam = rng.standard_normal(3) if spectrum is None else np.array(spectrum, dtype=float)
+            lam = (lam - lam.mean()) * scale / np.abs(lam - lam.mean()).max(initial=1e-300)
+            v = random_unitary(3, rng)
+            h = v @ np.diag(lam) @ v.conj().T + (0 if su else rng.normal()) * np.eye(3)
+            # the generators are Hilbert-Schmidt orthogonal: X^k = tr(tau_k H) / tr(tau_k^2)
+            coords.append(np.einsum("kij,ji->k", gens.gens, h).real / norms)
+        coords = np.array(coords)
+        m = un.exp_map(coords, gens)
+        # eigh's own rounding grows like r (see test_assemble_and_exp_map)
+        bound = 2e-13 if scale == 1e2 else 1e-13
+        h = np.einsum("...k,kij->...ij", coords.astype(np.longdouble), gens.gens.astype(np.clongdouble))
+        assert np.max(np.abs(m - longdouble_exp(h))) <= bound
+        assert np.max(np.abs(m - einsum_exp_map(coords, gens))) <= bound
+        assert un.unitarity_defect(m) <= 1e-13
+        if regime == "zero traceless part" and su:
+            assert np.array_equal(m, np.broadcast_to(np.eye(3), m.shape))
+
+    def test_long_double_reference_matches_the_su2_closed_form(self):
+        v = np.random.default_rng(4).normal(0, 3, (6, 3))
+        h = np.einsum("...k,kij->...ij", v, un.generators_su(2).gens)
+        want = np.array([su2_closed_form(row) for row in v])
+        assert np.max(np.abs(longdouble_exp(h) - want)) <= 1e-14
+
+
+class TestExpMapOnePath:
+    """exp_map has one code path per N for every batch size: the closed
+    forms for N <= 3 never reach eigh, and N = 4 does."""
+
+    @pytest.mark.parametrize("batch", [1, 17, 1088])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_closed_forms_never_call_eigh(self, monkeypatch, n, batch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        gens = un.generators_u(n)
+        coords = np.random.default_rng(batch).normal(0, 1, (batch, len(gens)))
+        m = un.exp_map(coords, gens)
+        assert m.shape == (batch, n, n)
+        assert un.unitarity_defect(m) <= 1e-13
+
+    def test_n4_goes_through_eigh(self, monkeypatch):
+        shapes, eigh = [], np.linalg.eigh
+
+        def recording(h):
+            shapes.append(h.shape)
+            return eigh(h)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        un.exp_map(np.zeros((5, 16)), un.generators_u(4))
+        assert shapes == [(5, 4, 4)]
+
+    def test_n3_coordinate_count_checked(self):
+        with pytest.raises(un.DimensionError, match="^expected 9 coordinates, got 8$"):
+            un.exp_map(np.zeros(8), un.generators_u(3))
