@@ -4,6 +4,7 @@ curvature built from the holonomy-like products U and V."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -15,6 +16,8 @@ from .unitary import (
     exp_map,
     factorize,
     generators_u,
+    gram_residual,
+    stack_matmul,
     unitarity_defect,
 )
 
@@ -76,9 +79,7 @@ def _check_links(links: np.ndarray, spec: LatticeSpec, j: int, kinds: str) -> No
     # a non-finite entry makes the defect NaN or inf, which fails this test
     if all(unitarity_defect(links[:, k]) <= CONSTRUCTION_TOL for k in range(len(kinds))):
         return
-    with np.errstate(invalid="ignore"):
-        gram = links.conj().mT @ links - np.eye(links.shape[-1])
-    per_link = np.abs(gram).max(axis=(-3, -2, -1))
+    per_link = np.abs(gram_residual(links)).max(axis=(-3, -2, -1))
     l, k = np.argwhere(~(per_link <= CONSTRUCTION_TOL))[0]
     finite = np.isfinite(links[l, k]).all(axis=(-2, -1))
     if not finite.all():
@@ -269,8 +270,12 @@ class GaugeTransformation:
         return self._request(j, 1)[0]
 
 
-def _dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().mT
+@cache
+def _neighbours(n_sites: int) -> np.ndarray:
+    """Read-only (right, left): at the index of site p, those of p + 1 and p - 1, periodic."""
+    pair = (np.arange(n_sites) + np.array([[1], [-1]])) % n_sites
+    pair.flags.writeable = False
+    return pair
 
 
 def transform_potentials(field_: GaugeField, g: GaugeTransformation) -> GaugeField:
@@ -278,30 +283,29 @@ def transform_potentials(field_: GaugeField, g: GaugeTransformation) -> GaugeFie
     if field_.spec != g.spec or field_.dim != g.dim:
         raise DimensionError("gauge transformation does not match field")
 
-    # index i holds p = i - p_max; p+1 lives at index i+1, p-1 at i-1
-    sites = np.arange(field_.spec.n_sites)
-    right, left = np.roll(sites, -1), np.roll(sites, 1)
+    right, left = _neighbours(field_.spec.n_sites)
 
     def run(j, count):
         js = range(j, j + count)
         gs = np.array([g.G(k) for k in range(j, j + count + 1)])  # each G once, in ascending j
-        g_up, g_inv = gs[1:], _dagger(gs[:-1])
+        g_up, g_inv = gs[1:], gs[:-1].conj().mT
         # the first request builds the field's slices j .. j + count - 1 as one run
         p, q = np.array([field_.P(k, j + count - k) for k in js]), np.array([field_.Q(k) for k in js])
-        return np.stack((g_up @ p @ g_inv[:, right], g_up @ q @ g_inv[:, left]), 1)
+        return np.stack((stack_matmul(stack_matmul(g_up, p), g_inv[:, right]),
+                         stack_matmul(stack_matmul(g_up, q), g_inv[:, left])), 1)
 
     return GaugeField(field_.spec, field_.dim, run)
 
 
 def holonomy_u(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """U_{j,p} = Q†_{j,p} P_{j,p} at every site, from slice j's P and Q."""
-    return _dagger(q) @ p
+    return q.conj().mT @ p
 
 
 def holonomy_v(q: np.ndarray, p_prev: np.ndarray) -> np.ndarray:
     """V_{j,p} = Q_{j,p} P_{j-1,p-1} at every site, from Q on slice j and P
     on slice j-1."""
-    return q @ np.roll(p_prev, 1, axis=0)
+    return q @ p_prev[_neighbours(len(p_prev))[1]]
 
 
 def _around(field_: GaugeField, j: int) -> list:
@@ -319,9 +323,8 @@ def _curvature(pq) -> np.ndarray:
     u_prev = holonomy_u(p_prev, q_prev)
     u_next = holonomy_u(p_next, q_next)
     v_here = holonomy_v(q_here, p_prev)
-    v_left = np.roll(v_here, 1, axis=0)   # V_{j,p-1} at index of p
-    v_right = np.roll(v_here, -1, axis=0)  # V_{j,p+1}
-    return _dagger(u_prev) @ _dagger(v_left) @ u_next @ v_right
+    right, left = _neighbours(len(v_here))  # V_{j,p+1} is v_here[right], V_{j,p-1} v_here[left]
+    return u_prev.conj().mT @ v_here[left].conj().mT @ u_next @ v_here[right]
 
 
 def curvature_slice(field_: GaugeField, j: int) -> np.ndarray:
@@ -340,7 +343,7 @@ def curvature_gauge_conjugator(g: GaugeTransformation, j: int) -> np.ndarray:
     F'_{j,p} = G_{j-1,p+1} F_{j,p} G^-1_{j-1,p+1}."""
     if j < 1:
         raise SiteRangeError("conjugator needs slice j-1")
-    return np.roll(g.G(j - 1), -1, axis=0)
+    return g.G(j - 1)[_neighbours(g.spec.n_sites)[0]]
 
 
 def continuous_curvature(b0, b1, gens: GeneratorSet, t: float, x: float, h: float = 1e-5) -> np.ndarray:

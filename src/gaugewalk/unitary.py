@@ -26,15 +26,27 @@ class UnitarityError(ValueError):
     pass
 
 
-def unitarity_defect(m: np.ndarray) -> float:
-    """Max-norm of M†M - 1, zero for exactly unitary M; NaN or inf when M
-    has a non-finite entry."""
+def stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of small matrices, as N broadcast products summed in place."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k:k + 1] * b[..., k:k + 1, :]
+    return out
+
+
+def gram_residual(m: np.ndarray) -> np.ndarray:
+    """M†M - 1 for M or each matrix of a stack; NaN or inf, silently, for a non-finite M."""
     m = np.asarray(m)
-    n = m.shape[-1]
-    gram = m.conj().mT @ m
-    # the diagonal of every matrix in the stack, as one strided view
-    gram.reshape(*gram.shape[:-2], n * n)[..., :: n + 1] -= 1
-    return float(np.abs(gram).max())
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf
+        gram = stack_matmul(m.conj().mT, m)
+    gram.reshape(*gram.shape[:-2], -1)[..., :: m.shape[-1] + 1] -= 1  # every diagonal, one strided view
+    return gram
+
+
+def unitarity_defect(m: np.ndarray) -> float:
+    """Max-norm of M†M - 1 over M or a stack (gram_residual, by stack_matmul), zero for
+    exactly unitary M; NaN or inf, without a warning, when M has a non-finite entry."""
+    return float(np.abs(gram_residual(m)).max())
 
 
 def gell_mann(n: int) -> np.ndarray:
@@ -137,7 +149,7 @@ def _exp_2x2(h: np.ndarray) -> np.ndarray:
     out[..., 0, 0] = cos + isin * d
     out[..., 1, 1] = cos - isin * d
     out[..., 0, 1] = isin * h01
-    out[..., 1, 0] = isin * h01.conj()
+    out[..., 1, 0] = np.multiply(isin, h01.conj())  # no elision, so no reordering at large batch
     return out
 
 

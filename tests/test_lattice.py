@@ -620,8 +620,21 @@ class TestGaugeTransformation:
         ft = lat.transform_potentials(f, g)
         g_up, g_here = g.G(j + 1), g.G(j)
         dagger = lambda a: np.swapaxes(a.conj(), -1, -2)
-        assert np.array_equal(ft.P(j), g_up @ f.P(j) @ dagger(np.roll(g_here, -1, axis=0)))
-        assert np.array_equal(ft.Q(j), g_up @ f.Q(j) @ dagger(np.roll(g_here, 1, axis=0)))
+        conj = lambda a, shift: un.stack_matmul(un.stack_matmul(g_up, a), dagger(np.roll(g_here, shift, axis=0)))
+        assert np.array_equal(ft.P(j), conj(f.P(j), -1))
+        assert np.array_equal(ft.Q(j), conj(f.Q(j), 1))
+
+    def test_slices_built_alone_equal_a_long_run(self):
+        # 301 sites, N = 3: a run of 32 slices holds 32 * 301 * 9 complex
+        # numbers per kind, over 256 KiB, where numpy may reuse temporaries
+        spec = lat.LatticeSpec(0.1, 150, 40)
+        f = lat.GaugeField.random(spec, 3, seed=3)
+        g = lat.GaugeTransformation.random(spec, 3, seed=4)
+        in_run = lat.transform_potentials(f, g)
+        in_run.P(2, lat.RUN)
+        for j in (2, 17, 33):
+            alone = lat.transform_potentials(f, g)
+            assert np.array_equal(alone.P(j), in_run.P(j)) and np.array_equal(alone.Q(j), in_run.Q(j))
 
     def test_domain_extends_one_slice(self):
         spec = small_spec()
