@@ -291,8 +291,7 @@ def transform_potentials(field_: GaugeField, g: GaugeTransformation) -> GaugeFie
         g_up, g_inv = gs[1:], gs[:-1].conj().mT
         # the first request builds the field's slices j .. j + count - 1 as one run
         p, q = np.array([field_.P(k, j + count - k) for k in js]), np.array([field_.Q(k) for k in js])
-        return np.stack((stack_matmul(stack_matmul(g_up, p), g_inv[:, right]),
-                         stack_matmul(stack_matmul(g_up, q), g_inv[:, left])), 1)
+        return np.stack([stack_matmul(stack_matmul(g_up, a), g_inv[:, s]) for a, s in ((p, right), (q, left))], 1)
 
     return GaugeField(field_.spec, field_.dim, run)
 

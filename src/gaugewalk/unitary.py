@@ -44,8 +44,7 @@ def gram_residual(m: np.ndarray) -> np.ndarray:
 
 
 def unitarity_defect(m: np.ndarray) -> float:
-    """Max-norm of M†M - 1 over M or a stack (gram_residual, by stack_matmul), zero for
-    exactly unitary M; NaN or inf, without a warning, when M has a non-finite entry."""
+    """Max-norm of M†M - 1 (gram_residual) over M or a stack; NaN or inf, silently, for a non-finite M."""
     return float(np.abs(gram_residual(m)).max())
 
 

@@ -4,6 +4,7 @@ transformation of states, probability accounting."""
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,15 +90,16 @@ def coin_matrix(theta: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _shift_index(n_sites: int, dim: int) -> np.ndarray:
+def _shift_index(n_sites: int, dim: int, thread: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices into (n_sites, 2N) amplitudes that gather the shifted
-    state: psi^-_{p+1} into the psi^- block, psi^+_{p-1} into psi^+ (periodic)."""
+    state: psi^-_{p+1} into the psi^- block, psi^+_{p-1} into psi^+ (periodic),
+    and the array a thread's steps gather into, so a step frees one large array
+    (the old state), not two that the heap top would trim and fault back in."""
     index = np.arange(n_sites * 2 * dim).reshape(n_sites, 2, dim)
     index[:, 0] = np.roll(index[:, 0], -1, axis=0)
     index[:, 1] = np.roll(index[:, 1], 1, axis=0)
-    index = index.ravel()
     index.setflags(write=False)
-    return index
+    return index.ravel(), np.empty(index.size, dtype=complex)
 
 
 def _same_space(a: LatticeSpec, b: LatticeSpec) -> bool:
@@ -120,8 +122,10 @@ def step(state: WalkState, field: GaugeField, config: WalkConfig) -> WalkState:
     if not _same_space(state.spec, field.spec):
         raise DimensionError("state and field lattices disagree")
     n, amps = state.dim, state.amplitudes
-    shifted = amps.ravel().take(_shift_index(len(amps), n)).reshape(amps.shape)
     p, q = field.P(state.j), field.Q(state.j)
+    # mode="wrap" (every index is in range) lets take fill buf without a buffer of its own
+    index, buf = _shift_index(len(amps), n, threading.get_ident())
+    shifted = amps.ravel().take(index, out=buf, mode="wrap").reshape(amps.shape)
     if uniform_in_x(p) and uniform_in_x(q):
         out = shifted @ coin_matrix(config.theta, p[0], q[0]).T
     else:

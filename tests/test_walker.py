@@ -1,5 +1,6 @@
 """Walk dynamics: coin, transport, probability, gauge covariance."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -479,14 +480,20 @@ class TestWalkStateFinite:
                     wk.WalkState(spec, 2, 0, bad)
 
 
-def test_uniform_step_allocates_at_most_two_and_a_half_states():
-    """One x-uniform step on the 2801-site lattice of the benchmark's walk
-    allocates the shifted state, the output and small temporaries: a step
-    that made state-sized temporaries (three in one rewrite) pays minor page
-    faults on every step of a large lattice."""
+def benchmark_walk_lattice():
+    """The 2801-site lattice and x-uniform SU(2) field of the benchmark's walk."""
     spec = lat.LatticeSpec(0.025, 1400, 800)
     field = lat.GaugeField.from_potentials(*ex.su2_electric_potentials(0.05), spec, un.generators_u(2))
-    config = wk.WalkConfig.from_mass(2, 0.1, spec.epsilon)
+    return spec, field, wk.WalkConfig.from_mass(2, 0.1, spec.epsilon)
+
+
+def test_uniform_step_allocates_at_most_one_and_a_half_states():
+    """One x-uniform step on the 2801-site lattice of the benchmark's walk
+    allocates the output and small temporaries; the shifted state goes into
+    the thread's gather array.  A step that frees two state-sized arrays
+    (the shifted state and the old state) can leave them together at the
+    heap top, where they are trimmed and faulted back in on every step."""
+    spec, field, config = benchmark_walk_lattice()
     state = wk.step(random_state(spec, 2, seed=0), field, config)  # builds the per-lattice caches
     tracemalloc.start()
     try:
@@ -494,4 +501,25 @@ def test_uniform_step_allocates_at_most_two_and_a_half_states():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * state.amplitudes.nbytes
+    assert peak <= 1.5 * state.amplitudes.nbytes
+
+
+def test_walks_in_threads_equal_the_serial_walks():
+    # every thread gathers into its own array: a shared one would let one
+    # thread overwrite another's shifted state while BLAS runs without the GIL
+    spec, field, config = benchmark_walk_lattice()
+    starts = [random_state(spec, 2, seed=s) for s in range(4)]
+    want = [wk.evolve(s, field, config, 40).amplitudes for s in starts]
+    got = [None] * len(starts)
+
+    def run(k):
+        got[k] = wk.evolve(starts[k], field, config, 40).amplitudes
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(starts))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
