@@ -123,7 +123,8 @@ def step(state: WalkState, field: GaugeField, config: WalkConfig) -> WalkState:
         raise DimensionError("state and field lattices disagree")
     n, amps = state.dim, state.amplitudes
     p, q = field.P(state.j), field.Q(state.j)
-    # mode="wrap" (every index is in range) lets take fill buf without a buffer of its own
+    # the links come first, since a build may run outside code; mode="wrap" (every
+    # index is in range) lets take fill buf without a buffer of its own
     index, buf = _shift_index(len(amps), n, threading.get_ident())
     shifted = amps.ravel().take(index, out=buf, mode="wrap").reshape(amps.shape)
     if uniform_in_x(p) and uniform_in_x(q):

@@ -338,12 +338,6 @@ class TestStackMatmul:
                 assert np.array_equal(un.stack_matmul(a[start:start + size], b[start:start + size]),
                                       whole[start:start + size])
 
-    def test_real_and_complex_factors(self):
-        a = np.arange(8.0).reshape(2, 2, 2)
-        b = a + 1j
-        assert np.array_equal(un.stack_matmul(a, a), a @ a)
-        assert np.max(np.abs(un.stack_matmul(a, b) - a @ b)) <= 1e-13
-
 
 def longdouble_exp(h):
     """exp(iH) for a stack of H, by a Taylor series in long double after
