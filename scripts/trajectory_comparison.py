@@ -31,7 +31,7 @@ def main(argv=None) -> int:
     def run():
         # every run's config is checked before the first run starts
         configs = [ExperimentConfig(
-            experiment="trajectory", dim=2, mass=args.mass, e_ym=e_ym, g=1.0,
+            experiment="trajectory", dim=2, mass=args.mass, e_ym=e_ym,
             epsilons=(args.epsilon,), sigma=args.sigma, k0=args.k0,
             x_max=args.x_max, t_max=args.t_max,
             output_dir=f"{args.out}/e{e_ym:g}") for e_ym in args.e_yms or (0.0, 0.02, 0.05)]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -101,13 +100,6 @@ class GeneratorSet:
     def __len__(self) -> int:
         return len(self.gens)
 
-    @cached_property
-    def _exp3_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """exp3.exp_3x3's tables for these generators (N = 3), made on first use."""
-        from .exp3 import tables
-
-        return tables(self.gens)
-
     def assemble(self, coords: np.ndarray) -> np.ndarray:
         """Sum_k coords[..., k] * gens[k], a Hermitian matrix per leading index."""
         coords = np.asarray(coords, dtype=float)
@@ -154,7 +146,8 @@ def _exp_2x2(h: np.ndarray) -> np.ndarray:
 
 def exp_map(coords: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     """exp(i sum_k X^k tau_k) of the Hermitian argument H, unitary up to
-    rounding.  Closed forms for N <= 3: the phase e^{iH} for N = 1,
+    rounding.  H is assembled once (gens.assemble) for every N, then
+    exponentiated by a closed form for N <= 3: the phase e^{iH} for N = 1,
     e^{i a0} (cos r 1 + i (sin r / r) K) for N = 2 (see _exp_2x2) and the
     Cayley-Hamilton form for N = 3 (see exp3.exp_3x3), each one code path for
     every batch size; N >= 4 goes through the eigendecomposition of H.
@@ -162,15 +155,15 @@ def exp_map(coords: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     coords = np.asarray(coords, dtype=float)
     if not np.isfinite(coords).all():
         raise ValueError("non-finite coordinates")
-    if gens.dim == 3:
-        from .exp3 import exp_3x3  # loaded on first use, see exp3
-
-        return exp_3x3(coords, gens)
     h = gens.assemble(coords)
     if gens.dim == 1:
         return np.exp(1j * h)
     if gens.dim == 2:
         return _exp_2x2(h)
+    if gens.dim == 3:
+        from .exp3 import exp_3x3  # loaded on first use, see exp3
+
+        return exp_3x3(h)
     w, v = np.linalg.eigh(h)
     # V diag(e^{iw}) V†: scale the columns of V, then one matmul
     return (v * np.exp(1j * w)[..., None, :]) @ v.conj().mT

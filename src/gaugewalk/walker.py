@@ -69,9 +69,7 @@ class WalkState:
 
 
 def total_probability(state: WalkState) -> float:
-    # summed from np.abs, not row_probabilities: gauge_check.json records the
-    # drift of this total, and its last bits follow the summation used
-    return float(np.sum(np.abs(state.amplitudes) ** 2))
+    return float(np.sum(row_probabilities(state.amplitudes)))
 
 
 def coin_matrix(theta: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:

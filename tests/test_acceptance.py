@@ -170,7 +170,7 @@ def test_criterion_06_continuum_convergence(tmp_path):
 
 def _trajectory_deviation(tmp_path, e_ym, k0, sigma, tag):
     cfg = ex.ExperimentConfig(
-        experiment="trajectory", dim=2, mass=0.1, e_ym=e_ym, g=1.0,
+        experiment="trajectory", dim=2, mass=0.1, e_ym=e_ym,
         epsilons=(0.1,), sigma=sigma, k0=k0, x_max=35.0, t_max=20.0,
         output_dir=str(tmp_path / tag))
     res = ex.run_trajectory(cfg)

@@ -124,6 +124,20 @@ class TestGaugeCheckInternals:
         # both walks read P and Q of slices 0..49, the primed one G 0..50 too
         assert len(checked) >= 2 * 2 * 50 + 51
 
+    def test_seeds_draw_disjoint_trials(self, monkeypatch, tmp_path):
+        drawn = []
+
+        def recording(dim, spec, seed):
+            drawn.append(seed)
+            return {"commuting_square": 0.0}
+
+        monkeypatch.setattr(ex, "gauge_check_residuals", recording)
+        for seed in (1, 2):
+            ex.run_gauge_check(ex.ExperimentConfig(experiment="gauge-check", seed=seed,
+                                                   output_dir=str(tmp_path / str(seed))))
+        # 20 trials per seed, no draw made twice
+        assert len(drawn) == len(set(drawn)) == 40
+
     def test_abelian_consistency(self):
         assert ex.abelian_consistency_residual(seed=7) <= 1e-12
 
@@ -407,7 +421,7 @@ def test_every_option_of_every_experiment_reaches_the_config(monkeypatch):
     default = ex.ExperimentConfig()
     for name, sub in subs.choices.items():
         options = [a for a in sub._actions if a.option_strings and a.dest not in ("help", "config")]
-        assert len(options) == 12
+        assert len(options) == 11
         for action in options:
             value = {int: "3", float: "0.375", None: "elsewhere"}[action.type]
             args = parser.parse_args([name, action.option_strings[0], value])

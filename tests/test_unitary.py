@@ -1,5 +1,11 @@
 """Matrix-algebra layer: generator bases, exponential map, U(1) x SU(N) split."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -309,6 +315,17 @@ class TestKernelsMatchReferences:
             for start in starts:
                 assert np.array_equal(un.exp_map(coords[start:start + size], gens), whole[start:start + size])
 
+    def test_n3_exp_map_bits_do_not_depend_on_batch_size(self):
+        # a single matrix is left out: assemble's BLAS product of one row of
+        # coordinates may round differently from a stack's
+        gens = un.generators_u(3)
+        coords = np.random.default_rng(12).normal(0, 2, (65536, len(gens)))
+        whole = un.exp_map(coords, gens)
+        for size in (17, 544, 1088, 4096, 8192, 16384):
+            starts = range(0, len(coords), size) if size > 1088 else range(0, 8192, size)
+            for start in starts:
+                assert np.array_equal(un.exp_map(coords[start:start + size], gens), whole[start:start + size])
+
 
 class TestStackMatmul:
     """stack_matmul, the elementwise form of a @ b for stacks of small matrices."""
@@ -440,6 +457,26 @@ class TestExpMapOnePath:
         monkeypatch.setattr(np.linalg, "eigh", recording)
         un.exp_map(np.zeros((5, 16)), un.generators_u(4))
         assert shapes == [(5, 4, 4)]
+
+    def test_exp3_is_imported_by_the_first_n3_call_only(self):
+        # every eagerly imported module is compiled at start-up where bytecode
+        # is not cached, so exp3 must wait for the first N = 3 exponential
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import gaugewalk.cli
+            from gaugewalk import unitary as un
+            for n in (1, 2):
+                un.exp_map(np.zeros((4, n * n)), un.generators_u(n))
+            print("gaugewalk.exp3" in sys.modules)
+            un.exp_map(np.zeros((4, 9)), un.generators_u(3))
+            print("gaugewalk.exp3" in sys.modules)
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
 
     def test_n3_coordinate_count_checked(self):
         with pytest.raises(un.DimensionError, match="^expected 9 coordinates, got 8$"):
