@@ -251,7 +251,8 @@ class GaugeField:
 class GaugeTransformation:
     """A lattice of U(N) matrices G_{j,p}, j = 0 .. j_max + 1.  run(j, count)
     gives slices j .. j + count - 1 of shape (count, 1, n_sites or 1, N, N),
-    built and memoised as GaugeField's are."""
+    built and memoised as GaugeField's are: G(j, ahead) that misses builds a
+    run of `ahead` slices from j, clipped at j_max + 1."""
 
     def __init__(self, spec: LatticeSpec, dim: int, run):
         self.spec = spec
@@ -266,8 +267,8 @@ class GaugeTransformation:
         per (seed, j) and distinct from the field drawn with the same seed."""
         return cls(spec, dim, _random_run(spec, dim, seed, 7, scale, 1))
 
-    def G(self, j: int) -> np.ndarray:
-        return self._request(j, 1)[0]
+    def G(self, j: int, ahead: int = 1) -> np.ndarray:
+        return self._request(j, ahead)[0]
 
 
 @cache
@@ -279,7 +280,10 @@ def _neighbours(n_sites: int) -> np.ndarray:
 
 
 def transform_potentials(field_: GaugeField, g: GaugeTransformation) -> GaugeField:
-    """P' = G_{j+1,p} P G^-1_{j,p+1},  Q' = G_{j+1,p} Q G^-1_{j,p-1}."""
+    """P' = G_{j+1,p} P G^-1_{j,p+1},  Q' = G_{j+1,p} Q G^-1_{j,p-1}.  A run
+    of slices j .. j + count - 1 reads each G once, in ascending j: G slices
+    j .. j + count - 1 as one run, G(j + count) as a request of its own; its
+    first request of the field builds the field's slices as one run."""
     if field_.spec != g.spec or field_.dim != g.dim:
         raise DimensionError("gauge transformation does not match field")
 
@@ -287,9 +291,8 @@ def transform_potentials(field_: GaugeField, g: GaugeTransformation) -> GaugeFie
 
     def run(j, count):
         js = range(j, j + count)
-        gs = np.array([g.G(k) for k in range(j, j + count + 1)])  # each G once, in ascending j
+        gs = np.array([g.G(k, max(1, j + count - k)) for k in range(j, j + count + 1)])
         g_up, g_inv = gs[1:], gs[:-1].conj().mT
-        # the first request builds the field's slices j .. j + count - 1 as one run
         p, q = np.array([field_.P(k, j + count - k) for k in js]), np.array([field_.Q(k) for k in js])
         return np.stack([stack_matmul(stack_matmul(g_up, a), g_inv[:, s]) for a, s in ((p, right), (q, left))], 1)
 

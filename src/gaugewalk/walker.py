@@ -100,6 +100,16 @@ def _shift_index(n_sites: int, dim: int, thread: int) -> tuple[np.ndarray, np.nd
     return index.ravel(), np.empty(index.size, dtype=complex)
 
 
+@functools.lru_cache(maxsize=8)
+def _mixer(theta: float, dim: int) -> np.ndarray:
+    """B(theta, 1, 1) transposed, read-only: it mixes the rotated blocks
+    (P psi^-, Q psi^+) of a per-site step, B(theta, P, Q) = B(theta, 1, 1) diag(P, Q)."""
+    eye = np.eye(dim)
+    b = coin_matrix(theta, eye, eye).T
+    b.setflags(write=False)
+    return b
+
+
 def _same_space(a: LatticeSpec, b: LatticeSpec) -> bool:
     """Same sites: a state is valid on any time extent with its spacing."""
     return a.epsilon == b.epsilon and a.p_max == b.p_max
@@ -113,8 +123,10 @@ def step(state: WalkState, field: GaugeField, config: WalkConfig) -> WalkState:
     coin B(theta, P, Q) (see coin_matrix), and the step is one product of
     the shifted (n_sites, 2N) rows with B transposed.  That is the per-site
     formula with its scalars moved inside, c (P psi) -> (c P) psi, so the
-    two paths agree to rounding (~1e-15).  Slices that vary in x keep the
-    per-site arithmetic unchanged."""
+    two paths agree to rounding (~1e-15).  A slice that varies in x takes
+    B(theta, P, Q) = B(theta, 1, 1) diag(P, Q): P psi^- and Q psi^+ at every
+    site, written into one array, then one product of its rows with
+    B(theta, 1, 1) transposed."""
     if state.dim != field.dim or state.dim != config.dim:
         raise DimensionError("state, field and config dimensions disagree")
     if not _same_space(state.spec, field.spec):
@@ -128,13 +140,12 @@ def step(state: WalkState, field: GaugeField, config: WalkConfig) -> WalkState:
     if uniform_in_x(p) and uniform_in_x(q):
         out = shifted @ coin_matrix(config.theta, p[0], q[0]).T
     else:
-        p_rot = (p @ shifted[:, :n, None])[..., 0]
-        q_rot = (q @ shifted[:, n:, None])[..., 0]
-        c, s = np.cos(config.theta), 1j * np.sin(config.theta)
-        # the output is allocated after the temporaries, so they are freed below
-        # a live array; with the output allocated first they were freed at the
-        # heap top, trimmed, and faulted back in on every step of a large lattice
-        out = np.concatenate((c * p_rot + s * q_rot, s * p_rot + c * q_rot), axis=1)
+        # the output is allocated after rot, so rot is freed below a live array;
+        # freed at the heap top it was trimmed and faulted back in on every step
+        rot = np.empty((len(amps), 2, n, 1), dtype=complex)
+        np.matmul(p, shifted[:, :n, None], out=rot[:, 0])
+        np.matmul(q, shifted[:, n:, None], out=rot[:, 1])
+        out = rot.reshape(len(amps), 2 * n) @ _mixer(config.theta, n)
     return WalkState(state.spec, state.dim, state.j + 1, out)
 
 

@@ -124,6 +124,29 @@ class TestGaugeCheckInternals:
         # both walks read P and Q of slices 0..49, the primed one G 0..50 too
         assert len(checked) >= 2 * 2 * 50 + 51
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_a_trial_builds_g_in_runs(self, monkeypatch, dim, seed):
+        # a transformed run asks G for its slices as one run, so a trial makes a
+        # handful of exp_map calls, where G in runs of one made about 54
+        calls = []
+
+        def counting(coords, gens, _fn=lat.exp_map):
+            calls.append(len(coords))
+            return _fn(coords, gens)
+
+        monkeypatch.setattr(lat, "exp_map", counting)
+        ex.gauge_check_residuals(dim, lat.LatticeSpec(0.1, 8, 52), seed)
+        assert len(calls) <= 10
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_residuals_equal_those_with_g_built_one_slice_at_a_time(self, monkeypatch, dim):
+        spec = lat.LatticeSpec(0.1, 8, 52)
+        in_runs = ex.gauge_check_residuals(dim, spec, 7)
+        one_at_a_time = lat.GaugeTransformation.G
+        monkeypatch.setattr(lat.GaugeTransformation, "G", lambda self, j, ahead=1: one_at_a_time(self, j))
+        assert ex.gauge_check_residuals(dim, spec, 7) == in_runs
+
     def test_seeds_draw_disjoint_trials(self, monkeypatch, tmp_path):
         drawn = []
 

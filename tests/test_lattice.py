@@ -533,6 +533,28 @@ class TestRuns:
         with pytest.raises(ValueError, match="^ahead must be >= 1, got 0$"):
             field.P(spec.j_max, 0)
 
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_a_g_run_clips_at_j_max_plus_one_and_a_refused_request_builds_nothing(self, monkeypatch, dim):
+        spec = small_spec(p_max=3, j_max=12)
+        g = lat.GaugeTransformation.random(spec, dim, seed=1)
+        runs = exp_map_runs(monkeypatch)
+        for j in (-1, spec.j_max + 2):
+            with pytest.raises(lat.SiteRangeError, match=rf"^time index {j} outside \[0, {spec.j_max + 1}\]$"):
+                g.G(j, 5)
+        for ahead in (0, -3):
+            with pytest.raises(ValueError, match=f"^ahead must be >= 1, got {ahead}$"):
+                g.G(spec.j_max - 1, ahead)
+        assert runs == []
+        g.G(spec.j_max - 1, lat.RUN)
+        assert runs == [3]  # slices j_max - 1 .. j_max + 1
+        for j in range(spec.j_max - 1, spec.j_max + 2):
+            assert np.array_equal(g.G(j, lat.RUN), lat.GaugeTransformation.random(spec, dim, seed=1).G(j))
+        assert runs == [3, 1, 1, 1]  # the requests found their slices built; the fresh ones each built one
+        for ahead in (0, -3):
+            with pytest.raises(ValueError, match=f"^ahead must be >= 1, got {ahead}$"):
+                g.G(spec.j_max + 1, ahead)
+        assert runs == [3, 1, 1, 1]
+
     def test_the_memo_keeps_the_last_slices_built(self, monkeypatch):
         spec = long_spec()
         field = lat.GaugeField.random(spec, 2, seed=3)

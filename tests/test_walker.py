@@ -179,13 +179,13 @@ class TestKernelsMatchEinsum:
 
 
 def _per_site_formula(state, p, q, theta):
-    """The per-site step: one matrix-vector product per site and link."""
+    """The per-site step as B(theta, P, Q) = B(theta, 1, 1) diag(P, Q): one
+    matrix-vector product per site and link, then the rows times B(theta, 1, 1)^T."""
     n, amps = state.dim, state.amplitudes
     shifted = np.concatenate((np.roll(amps[:, :n], -1, axis=0), np.roll(amps[:, n:], 1, axis=0)), axis=1)
-    p_rot = (p @ shifted[:, :n, None])[..., 0]
-    q_rot = (q @ shifted[:, n:, None])[..., 0]
-    c, s = np.cos(theta), 1j * np.sin(theta)
-    return np.concatenate((c * p_rot + s * q_rot, s * p_rot + c * q_rot), axis=1)
+    rot = np.concatenate(((p @ shifted[:, :n, None])[..., 0], (q @ shifted[:, n:, None])[..., 0]), axis=1)
+    eye = np.eye(n)
+    return rot @ wk.coin_matrix(theta, eye, eye).T
 
 
 def _uniform_field(spec, dim, seed):
@@ -394,7 +394,7 @@ class TestGaugeCovariance:
 
     def test_transformed_walk_first_builds_the_field_in_runs(self, monkeypatch):
         # criterion 02's order: the transformed field is walked first, and its
-        # runs ask for the plain field's slices a run at a time, G's one at a time
+        # runs ask for the plain field's and G's slices a run at a time
         spec = lat.LatticeSpec(0.1, 8, 52)
         field = lat.GaugeField.random(spec, 2, seed=3, scale=0.5)
         g = lat.GaugeTransformation.random(spec, 2, seed=4, scale=0.5)
@@ -410,8 +410,9 @@ class TestGaugeCovariance:
         monkeypatch.setattr(lat, "exp_map", counting)
         lhs = wk.evolve(wk.gauge_transform_state(state, g), lat.transform_potentials(field, g), cfg, 50)
         rhs = wk.gauge_transform_state(wk.evolve(state, field, cfg, 50), g)
-        # 51 G slices of one, and the field's 50 slices as runs of 32 and 18
-        assert len(calls) <= 53
+        # G(0) for the primed start; G 1..31, 32, 33..49 and 50 for the runs of
+        # 32 and 18; the field's 50 slices as runs of 32 and 18
+        assert len(calls) == 7
         assert sum(matrices) == 51 * spec.n_sites + 50 * 2 * spec.n_sites
         assert np.max(np.abs(lhs.amplitudes - rhs.amplitudes)) <= 1e-12
 
@@ -502,6 +503,42 @@ def test_uniform_step_allocates_at_most_one_and_a_half_states():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * state.amplitudes.nbytes
+
+
+def test_per_site_step_allocates_at_most_two_and_a_quarter_states():
+    """One per-site step on the 2801-site lattice, its slice built, allocates
+    the rotated blocks, the output and small temporaries, so it frees one
+    state-sized array besides the old state."""
+    spec, _, config = benchmark_walk_lattice()
+    field = lat.GaugeField.random(lat.LatticeSpec(spec.epsilon, spec.p_max, 4), 2, seed=1, scale=0.5)
+    field.P(0, 2)
+    state = wk.step(random_state(spec, 2, seed=0), field, config)  # builds the per-lattice caches
+    tracemalloc.start()
+    try:
+        wk.step(state, field, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * state.amplitudes.nbytes
+
+
+@pytest.mark.parametrize("p_max, dim, first, then", [(150, 2, 45, 55), (1024, 3, 13, 27)])
+def test_a_walk_resumed_on_a_fresh_per_site_field_equals_the_straight_walk(p_max, dim, first, then):
+    # the resumed walk builds its runs from slice `first`, at other offsets and
+    # lengths than the straight walk's, as a walk resumed from a checkpoint does;
+    # runs of 32 slices hold over 16384 links, where numpy may elide temporaries
+    spec = lat.LatticeSpec(0.05, p_max, first + then)
+    gens = un.generators_u(dim)
+    a = np.random.default_rng(dim).standard_normal((3, len(gens)))
+    b0 = lambda t, x: np.cos(x + t)[:, None] * a[0] + t * a[1]
+    b1 = lambda t, x: np.sin(2 * x)[:, None] * a[2]
+    make = lambda: lat.GaugeField.from_potentials(b0, b1, spec, gens)
+    assert not lat.uniform_in_x(make().P(0))
+    start, cfg = random_state(spec, dim, seed=3), wk.WalkConfig(dim, 0.4)
+    straight = wk.evolve(start, make(), cfg, first + then)
+    resumed = wk.evolve(wk.evolve(start, make(), cfg, first), make(), cfg, then)
+    assert resumed.j == straight.j == first + then
+    assert np.array_equal(resumed.amplitudes, straight.amplitudes)
 
 
 def test_walks_in_threads_equal_the_serial_walks():
