@@ -22,7 +22,6 @@ def _add_overrides(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mass", type=float, help="fermion mass")
     sub.add_argument("--sigma", type=float, help="packet width in wavenumber")
     sub.add_argument("--k0", type=float, help="packet center wavenumber")
-    sub.add_argument("--theta", type=float, help="raw coin angle override")
     sub.add_argument("--dim", type=int, help="internal dimension N")
     sub.add_argument("--x-max", type=float, dest="x_max", help="domain half-width")
     sub.add_argument("--t-max", type=float, dest="t_max", help="final physical time")

@@ -5,13 +5,14 @@ A SpinorField holds either point values on the grid or their DFT
 coefficients (its `spectral` flag).  A potential uniform in x acts mode by
 mode on either; one per point acts only on point values.
 
-`solve` chooses its march once, from the potential's t = 0 sample.  For one
-uniform in x, no two modes couple, and it marches only the coefficients of
-the packet's Fourier band, with no FFT per step: the rows |m| <= M that
-hold every row above BAND_CUTOFF of the largest, as a grid of 2M + 1 points
-with the caller's period and x_min.  Such a potential must stay uniform.
-Otherwise it marches point values on the caller's grid (one FFT out and one
-back per right-hand side), and the potential may take either shape later.
+`solve` chooses its march once, from the potential's t = 0 sample alone.
+For one uniform in x, no two modes couple, and it marches Fourier
+coefficients with no FFT per step: those of the packet's band, the rows
+|m| <= M that hold every row above BAND_CUTOFF of the largest, as a grid of
+2M + 1 points with the caller's period and x_min, or the caller's whole grid
+when the band fills it.  Such a potential must stay uniform.  For one per
+point it marches point values on the caller's grid (one FFT out and one back
+per right-hand side), and the potential may take either shape later.
 
 Each grid keeps, once per N, the derivative symbol ik and the chirality sign
 (+1 on psi^-, -1 on psi^+) tiled to a spinor's (n, 2N) shape
@@ -30,7 +31,7 @@ from .lattice import LatticeSpec, sample_potentials
 from .unitary import DimensionError, GeneratorSet
 
 # coefficient rows at or below this fraction of the largest row are left out
-# of the band march (see solve)
+# of the band (see _band)
 BAND_CUTOFF = 1e-15
 
 
@@ -274,22 +275,18 @@ def gaussian_packet(k0: float, sigma: float, color: np.ndarray, grid: SpectralGr
     return SpinorField(grid, dim, values / norm)
 
 
-def _band(full: SpinorField, params: DiracParams) -> SpinorField | None:
-    """The band march's start: the rows |m| <= M of full's coefficients on a
-    grid of 2M + 1 points with full's period and x_min.  M is the largest |m|
-    of a row above BAND_CUTOFF of the largest row, and at least 4 (a grid has
-    8 points or more).  None when the t = 0 sample of the potential is per
-    point, that grid would not be smaller than full's, or full is not
-    finite."""
+def _band(full: SpinorField) -> SpinorField:
+    """The coefficient march's start: the rows |m| <= M of full's
+    coefficients on a grid of 2M + 1 points with full's period and x_min, or
+    full itself when that grid would not be smaller.  M is the largest |m| of
+    a row above BAND_CUTOFF of the largest row, and at least 4 (a grid has 8
+    points or more)."""
     values, n = full.values, full.grid.n_points
-    x, count = full.grid.positions(), len(params.gens)
-    if not np.isfinite(values).all() or sample_potentials(params.b0, params.b1, 0.0, x, count)[0].ndim == 2:
-        return None
     weight = np.max(np.abs(values), axis=1)
     rows = np.flatnonzero(weight > BAND_CUTOFF * weight.max())
     m = max(4, int(np.max(np.minimum(rows, n - rows), initial=0)))
     if 2 * m + 1 >= n:
-        return None
+        return full
     grid = SpectralGrid(2 * m + 1, full.grid.x_min, full.grid.length / (2 * m + 1))
     return SpinorField(grid, full.dim, np.concatenate((values[: m + 1], values[n - m :])), True)
 
@@ -306,20 +303,27 @@ def _padded(f: SpinorField, grid: SpectralGrid) -> SpinorField:
 
 def solve(initial: SpinorField, params: DiracParams, t_max: float, dt: float) -> SpinorField:
     """March with rk2_step from t = 0 to t_max (last step shortened to land
-    exactly on t_max); aborts with NumericalAbort on non-finite values.
+    exactly on t_max); aborts with NumericalAbort on non-finite values.  A
+    non-finite initial field is a ValueError naming its first bad row, before
+    any transform.
 
-    The march is chosen once, from the potential's t = 0 sample: the
-    coefficients of the packet's band (see _band) when it is uniform in x and
-    the band is smaller than the grid, where a later per-point sample is a
-    DimensionError naming its t; point values on the caller's grid
-    otherwise.  The caller receives an x-space field on its own grid."""
+    The march is chosen once, from the potential's t = 0 sample alone:
+    Fourier coefficients (the packet's band, see _band) when it is uniform in
+    x, where a later per-point sample is a DimensionError naming its t; point
+    values on the caller's grid when it is per point.  The caller receives an
+    x-space field on its own grid."""
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not 0 <= t_max < np.inf:
         raise ValueError(f"t_max must be >= 0 and finite, got {t_max!r}")
+    bad = np.flatnonzero(~np.isfinite(initial.values).all(axis=1))
+    if bad.size:
+        raise ValueError(f"initial field is not finite at row {bad[0]}")
     if t_max <= 1e-12:  # no step to take
         return initial.to_physical()
-    f = _band(initial.to_spectral(), params) or initial.to_physical()
+    x = initial.grid.positions()
+    per_point = sample_potentials(params.b0, params.b1, 0.0, x, len(params.gens))[0].ndim == 2
+    f = initial.to_physical() if per_point else _band(initial.to_spectral())
     t = 0.0
     while t < t_max - 1e-12:
         h = min(dt, t_max - t)

@@ -14,6 +14,11 @@ import numpy as np
 from . import analysis, classical, dirac, io, lattice, unitary, walker
 
 
+# reference-solver step; kept well below eps so the continuum solution is
+# much more accurate than any walk in the sweep
+DIRAC_DT = 0.002
+
+
 class ConfigError(ValueError):
     pass
 
@@ -40,7 +45,6 @@ class ExperimentConfig:
     dim: int = 2
     mass: float = 0.1
     e_ym: float = 0.08
-    theta: float | None = None  # raw coin-angle override; default is -eps*mass
     epsilons: tuple[float, ...] = (0.4, 0.2, 0.1, 0.05)
     sigma: float = 0.5
     k0: float = 0.0
@@ -48,22 +52,17 @@ class ExperimentConfig:
     t_max: float = 50.0
     seed: int = 0
     output_dir: str = "gaugewalk-out"
-    # reference-solver step; kept well below eps so the continuum solution is
-    # much more accurate than any walk in the sweep
-    dirac_dt: float = 0.002
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {tuple(EXPERIMENTS)}")
-        for name in ("mass", "e_ym", "sigma", "k0", "x_max", "t_max", "dirac_dt"):
+        for name in ("mass", "e_ym", "sigma", "k0", "x_max", "t_max"):
             if not _is_number(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number")
         if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral):
             raise ConfigError("dim must be an integer")
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
-        if self.theta is not None and not _is_number(self.theta):
-            raise ConfigError("theta must be null or a finite number")
         if not isinstance(self.output_dir, str):
             raise ConfigError("output_dir must be a string")
         if self.dim < 1:
@@ -72,9 +71,8 @@ class ExperimentConfig:
         # generic_su2_potentials; only gauge-check reads dim
         if self.experiment in ("convergence", "trajectory", "evolve", "curvature-check") and self.dim != 2:
             raise ConfigError(f"the {self.experiment} experiment runs on an SU(2) field; it needs dim = 2")
-        for name in ("sigma", "dirac_dt"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        if self.sigma <= 0:
+            raise ConfigError("sigma must be positive")
         if not isinstance(self.epsilons, (list, tuple)):
             raise ConfigError("epsilons must be a list of positive finite numbers")
         if not all(_is_number(e) and e > 0 for e in self.epsilons):
@@ -170,14 +168,6 @@ def generic_su2_potentials():
     return b0, b1
 
 
-def _shared_initial_condition(cfg: ExperimentConfig, spec: lattice.LatticeSpec):
-    grid = dirac.SpectralGrid.from_lattice(spec)
-    color = np.ones(cfg.dim) / np.sqrt(cfg.dim)
-    packet = dirac.gaussian_packet(cfg.k0, cfg.sigma, color, grid, cfg.mass)
-    state = walker.WalkState(spec, cfg.dim, 0, packet.values.copy())
-    return packet, state
-
-
 def _output_dir(cfg: ExperimentConfig) -> Path:
     """--out, made before any compute so that an unusable one fails first."""
     out = Path(cfg.output_dir)
@@ -185,15 +175,19 @@ def _output_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _lattice_for(cfg: ExperimentConfig, eps: float) -> lattice.LatticeSpec:
+def _electric_walk(cfg: ExperimentConfig, eps: float):
+    """The walk on su2_electric_potentials at lattice step eps: the Dirac
+    parameters of that potential, the walk's links from it, the packet on
+    the lattice sites, the walk state holding it, the walk config (theta =
+    -eps*mass) and the step count that reaches t_max."""
     p_max, steps = cfg.lattice_size(eps)
-    return lattice.LatticeSpec(eps, p_max, steps + 2)
-
-
-def _walk_config(cfg: ExperimentConfig, eps: float) -> walker.WalkConfig:
-    if cfg.theta is not None:
-        return walker.WalkConfig(cfg.dim, cfg.theta)
-    return walker.WalkConfig.from_mass(cfg.dim, cfg.mass, eps)
+    spec = lattice.LatticeSpec(eps, p_max, steps + 2)
+    params = dirac.DiracParams(cfg.mass, *su2_electric_potentials(cfg.e_ym), unitary.generators_u(2))
+    field_ = lattice.GaugeField.from_potentials(params.b0, params.b1, spec, params.gens)
+    color = np.ones(cfg.dim) / np.sqrt(cfg.dim)
+    packet = dirac.gaussian_packet(cfg.k0, cfg.sigma, color, dirac.SpectralGrid.from_lattice(spec), cfg.mass)
+    state = walker.WalkState(spec, cfg.dim, 0, packet.values.copy())
+    return params, field_, packet, state, walker.WalkConfig.from_mass(cfg.dim, cfg.mass, eps), steps
 
 
 def run_convergence(cfg: ExperimentConfig) -> dict:
@@ -201,16 +195,11 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
     the SU(2) electric-field background, one leg per epsilon, and fit the
     log-log slope of the mean relative difference of psi^-."""
     out = _output_dir(cfg)
-    gens = unitary.generators_u(2)
-    b0, b1 = su2_electric_potentials(cfg.e_ym)
-    params = dirac.DiracParams(cfg.mass, b0, b1, gens)
 
     def leg(eps: float) -> tuple[float, float]:
-        spec = _lattice_for(cfg, eps)
-        packet, state = _shared_initial_condition(cfg, spec)
-        field_ = lattice.GaugeField.from_potentials(b0, b1, spec, gens)
-        state = walker.evolve(state, field_, _walk_config(cfg, eps), cfg.lattice_size(eps)[1])
-        ref = dirac.solve(packet, params, cfg.t_max, dt=min(cfg.dirac_dt, eps))
+        params, field_, packet, state, wcfg, steps = _electric_walk(cfg, eps)
+        state = walker.evolve(state, field_, wcfg, steps)
+        ref = dirac.solve(packet, params, cfg.t_max, dt=min(DIRAC_DT, eps))
         ref_minus = ref.values[:, :cfg.dim]
         d_re = analysis.relative_difference(ref_minus, state.psi_minus, eps, np.real)
         d_im = analysis.relative_difference(ref_minus, state.psi_minus, eps, np.imag)
@@ -257,18 +246,14 @@ def run_trajectory(cfg: ExperimentConfig) -> dict:
         raise ConfigError("mass must be positive: the trajectory comparison needs m > 0")
     out = _output_dir(cfg)
     eps = cfg.epsilon
-    spec = _lattice_for(cfg, eps)
-    gens = unitary.generators_u(2)
-    field_ = lattice.GaugeField.from_potentials(*su2_electric_potentials(cfg.e_ym), spec, gens)
-    _, state = _shared_initial_condition(cfg, spec)
+    _, field_, _, state, wcfg, steps = _electric_walk(cfg, eps)
 
-    positions = spec.positions()
+    positions = state.spec.positions()
     x0 = analysis.mean_position(state.site_probabilities(), positions, eps)
     # keep well clear of the periodic boundary: packet width plus margin
     safe = cfg.safe_zone()
     times, xbar, xcl = [0.0], [x0], [x0]
-    wcfg = _walk_config(cfg, eps)
-    for n, state in enumerate(walker.walk(state, field_, wcfg, cfg.lattice_size(eps)[1]), 1):
+    for n, state in enumerate(walker.walk(state, field_, wcfg, steps), 1):
         t = n * eps
         xw = analysis.mean_position(state.site_probabilities(), positions, eps)
         if abs(xw) > safe:
@@ -411,18 +396,14 @@ def abelian_consistency_residual(seed: int) -> float:
 def run_evolve(cfg: ExperimentConfig) -> dict:
     """Evolve a packet on the SU(2) electric field and dump the final state."""
     out = _output_dir(cfg)
-    eps = cfg.epsilon
-    spec = _lattice_for(cfg, eps)
-    gens = unitary.generators_u(2)
-    field_ = lattice.GaugeField.from_potentials(*su2_electric_potentials(cfg.e_ym), spec, gens)
-    _, state = _shared_initial_condition(cfg, spec)
+    _, field_, _, state, wcfg, steps = _electric_walk(cfg, cfg.epsilon)
     pi0 = walker.total_probability(state)
-    state = walker.evolve(state, field_, _walk_config(cfg, eps), cfg.lattice_size(eps)[1])
+    state = walker.evolve(state, field_, wcfg, steps)
     drift = abs(walker.total_probability(state) - pi0)
 
     csv_path = out / "state.csv"
     ckpt_path = out / "state.ckpt"
-    io.write_state_csv(csv_path, spec.positions(), state.amplitudes, "walk")
+    io.write_state_csv(csv_path, state.spec.positions(), state.amplitudes, "walk")
     io.write_checkpoint(ckpt_path, state)
     io.write_manifest(out, cfg.to_dict(), [csv_path, ckpt_path])
     if drift > 1e-10:

@@ -266,6 +266,21 @@ class TestSolve:
         with pytest.raises(ValueError, match=message):
             dr.solve(f, free_params(dim=1), t_max, dt)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spectral", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_initial_field_refused_before_any_transform(self, monkeypatch, bad, spectral):
+        def stepped(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(dr, "rk2_step", stepped)
+        values = np.ones((64, 2), dtype=complex)
+        values[9, 1] = values[40, 0] = bad
+        f = dr.SpinorField(grid64(), 1, values, spectral)
+        with pytest.raises(ValueError, match=r"^initial field is not finite at row 9$"):
+            dr.solve(f, free_params(dim=1), 1.0, 0.01)
+        assert cli.report_failures(lambda: dr.solve(f, free_params(dim=1), 1.0, 0.01)) == 1
+
     def test_lands_exactly_on_t_max(self):
         grid = grid64()
         k = grid.wavenumbers()[1]
@@ -406,17 +421,19 @@ class TestSpectralMarch:
 
     @pytest.mark.parametrize("n_points", [31, 32])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_potential_per_point_only_after_t0_solves(self, dim, n_points):
-        # uniform at t = 0, one coordinate vector per point afterwards
+    def test_potential_per_point_only_after_t0_is_refused(self, dim, n_points):
+        # uniform at t = 0, one coordinate vector per point afterwards: a
+        # random field fills the grid, so the march is on the whole grid's
+        # coefficients, and the first step's midpoint meets the per-point sample
         grid = dr.SpectralGrid(n_points, -0.25 * n_points, 0.5)
         params = random_uniform_params(dim, seed=dim)
         per_point = broadcast_params(params, n_points)
         later = dr.DiracParams(params.mass, params.b0,
                                lambda t, x: per_point.b1(t, x) if t > 0 else params.b1(t, x), params.gens)
         f = random_field(grid, dim, seed=n_points)
-        got = dr.solve(f, later, 0.3, 0.02)
-        want = dr.solve(f, params, 0.3, 0.02)
-        assert np.max(np.abs(got.values - want.values)) <= 1e-13
+        with pytest.raises(un.DimensionError, match=r"^potential sample at t=0\.01 is per point .*"
+                                                   r"return it per point at every t$"):
+            dr.solve(f, later, 0.3, 0.02)
 
     def test_round_trip(self):
         f = random_field(grid64(), 2, seed=6)
@@ -427,17 +444,19 @@ class TestSpectralMarch:
         assert np.allclose(np.abs(spec.to_physical().values) ** 2, np.abs(f.values) ** 2, atol=1e-14)
 
 
-def marched_rows(monkeypatch):
-    """The row count of every field rk2_step is handed, in call order."""
-    rows = []
+def marched(monkeypatch):
+    """(rows, spectral): the row count and the spectral flag of every field
+    rk2_step is handed, in call order."""
+    rows, spectral = [], []
     step = dr.rk2_step
 
     def recording(f, *args):
         rows.append(f.values.shape[0])
+        spectral.append(f.spectral)
         return step(f, *args)
 
     monkeypatch.setattr(dr, "rk2_step", recording)
-    return rows
+    return rows, spectral
 
 
 def packet(dim, n_points, k0):
@@ -466,9 +485,9 @@ class TestBandMarch:
         f = packet(dim, n_points, k0)
         params = random_uniform_params(dim, seed=dim)
         want = x_space_march(f, params, 0.53, 0.02)
-        rows = marched_rows(monkeypatch)
+        rows, spectral = marched(monkeypatch)
         got = dr.solve(f, params, 0.53, 0.02)
-        assert len(rows) == 27 and max(rows) < n_points // 2
+        assert len(rows) == 27 and max(rows) < n_points // 2 and all(spectral)
         assert not got.spectral and got.grid is f.grid
         assert np.max(np.abs(got.values - want.values)) <= 1e-13
 
@@ -478,9 +497,10 @@ class TestBandMarch:
         f = dr.SpinorField(f.grid, 2, f.values + 0.1 * nyquist[:, None])
         params = random_uniform_params(2, seed=5)
         want = x_space_march(f, params, 0.3, 0.02)
-        rows = marched_rows(monkeypatch)
+        rows, spectral = marched(monkeypatch)
         got = dr.solve(f, params, 0.3, 0.02)
-        assert rows == [128] * 15
+        # the band fills the grid: its coefficients, not its point values
+        assert rows == [128] * 15 and all(spectral)
         assert np.max(np.abs(got.values - want.values)) <= 1e-13
 
     @pytest.mark.parametrize("t_switch", [0.0, 0.255])
@@ -493,14 +513,14 @@ class TestBandMarch:
         if t_switch == 0.0:
             # per point at t = 0: the whole grid from the first step
             want = x_space_march(f, params, 0.53, 0.02)
-            rows = marched_rows(monkeypatch)
+            rows, spectral = marched(monkeypatch)
             got = dr.solve(f, params, 0.53, 0.02)
-            assert rows == [n_points] * 27
+            assert rows == [n_points] * 27 and not any(spectral)
             assert np.array_equal(got.values, want.values)
             return
         # uniform at t = 0, so solve marches the band, which refuses the
         # first per-point sample: the step from t = 0.26 meets it
-        rows = marched_rows(monkeypatch)
+        rows, _ = marched(monkeypatch)
         with pytest.raises(un.DimensionError, match=r"^potential sample at t=0\.26 is per point .*"
                                                    r"return it per point at every t$"):
             dr.solve(f, params, 0.53, 0.02)
@@ -519,11 +539,11 @@ class TestBandMarch:
             return base.b1(t, x) if t < 0.255 else base.b1(t, x) + rows
 
         params = dr.DiracParams(base.mass, base.b0, b1, base.gens)
-        marched = marched_rows(monkeypatch)
+        marched_rows, _ = marched(monkeypatch)
         with pytest.raises(un.DimensionError, match=r"^potential sample at t=0\.26 is per point .*"
                                                    r"return it per point at every t$"):
             dr.solve(f, params, 0.53, 0.02)
-        assert marched == [marched[0]] * 14 and marched[0] < 128 // 2
+        assert marched_rows == [marched_rows[0]] * 14 and marched_rows[0] < 128 // 2
         assert cli.report_failures(lambda: dr.solve(f, params, 0.53, 0.02)) == 1
         assert capsys.readouterr().err.startswith("config error: potential sample at t=0.26 is per point")
 
@@ -531,20 +551,18 @@ class TestBandMarch:
         cfg = ex.ExperimentConfig(experiment="convergence", dim=2, mass=0.1, e_ym=0.08,
                                   epsilons=(0.4, 0.2, 0.1, 0.05), sigma=0.5, k0=0.0,
                                   x_max=100.0, t_max=50.0)
-        f, _ = ex._shared_initial_condition(cfg, ex._lattice_for(cfg, 0.05))
-        b0, b1 = ex.su2_electric_potentials(cfg.e_ym)
-        rows = marched_rows(monkeypatch)
-        dr.solve(f, dr.DiracParams(cfg.mass, b0, b1, un.generators_u(2)), 2 * cfg.dirac_dt,
-                 cfg.dirac_dt)
+        params, _, f, _, _, _ = ex._electric_walk(cfg, 0.05)
+        rows, spectral = marched(monkeypatch)
+        dr.solve(f, params, 2 * ex.DIRAC_DT, ex.DIRAC_DT)
         assert f.grid.n_points == 4001
-        assert len(rows) == 2 and max(rows) <= 300
+        assert len(rows) == 2 and max(rows) <= 300 and all(spectral)
 
     def test_unstable_band_march_aborts(self, monkeypatch):
         # test_unstable_dt_aborts's near-Nyquist mode, alone in its band
         grid = grid64()
         k = grid.wavenumbers()[30]
         f = dr.SpinorField(grid, 1, np.exp(1j * k * grid.positions())[:, None] * np.array([1.0, 0.0]))
-        rows = marched_rows(monkeypatch)
+        rows, _ = marched(monkeypatch)
         with pytest.raises(dr.NumericalAbort):
             with np.errstate(all="ignore"):
                 dr.solve(f, free_params(dim=1, mass=0.1), 200.0, 0.5)
