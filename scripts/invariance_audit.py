@@ -4,24 +4,23 @@ check (commuting square, curvature covariance, curvature factorization,
 probability conservation on random draws) and the curvature check (remainder
 halving table, field-strength extraction, Abelian cross-check)."""
 
-import argparse
 import json
 import sys
 
-from gaugewalk.cli import report_failures
+from gaugewalk.cli import Parser, report_failures
 from gaugewalk.experiments import ExperimentConfig, run_curvature_check, run_gauge_check
 
 
 def main(argv=None) -> int:
     """Exit codes as for gaugewalk: 0 success, 1 config error, 2 invariant
     violation, 3 numerical abort."""
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("--dim", type=int, default=2)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="out/audit")
-    args = ap.parse_args(argv)
 
     def run():
+        args = ap.parse_args(argv)
         # both configs are checked before either experiment runs
         gauge_cfg = ExperimentConfig(experiment="gauge-check", dim=args.dim, seed=args.seed,
                                      output_dir=f"{args.out}/gauge")

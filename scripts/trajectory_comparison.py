@@ -4,19 +4,18 @@ the uniform SU(2) electric field, for one or more field strengths.  Each run
 writes trajectory.csv (t, xbar_walk, x_classical, E_ym) into its own
 subdirectory of --out."""
 
-import argparse
 import sys
 
 import numpy as np
 
-from gaugewalk.cli import report_failures
+from gaugewalk.cli import Parser, report_failures
 from gaugewalk.experiments import ExperimentConfig, run_trajectory
 
 
 def main(argv=None) -> int:
     """Exit codes as for gaugewalk: 0 success, 1 config error, 2 invariant
     violation, 3 numerical abort."""
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("--e-ym", type=float, action="append", dest="e_yms",
                     help="field strength; repeat for several runs")
     ap.add_argument("--k0", type=float, default=1.0)
@@ -26,14 +25,13 @@ def main(argv=None) -> int:
     ap.add_argument("--t-max", type=float, default=20.0)
     ap.add_argument("--x-max", type=float, default=35.0)
     ap.add_argument("--out", default="out/trajectory")
-    args = ap.parse_args(argv)
 
     def run():
+        args = ap.parse_args(argv)
         # every run's config is checked before the first run starts
         configs = [ExperimentConfig(
-            experiment="trajectory", dim=2, mass=args.mass, e_ym=e_ym,
-            epsilons=(args.epsilon,), sigma=args.sigma, k0=args.k0,
-            x_max=args.x_max, t_max=args.t_max,
+            experiment="trajectory", mass=args.mass, e_ym=e_ym, epsilons=(args.epsilon,),
+            sigma=args.sigma, k0=args.k0, x_max=args.x_max, t_max=args.t_max,
             output_dir=f"{args.out}/e{e_ym:g}") for e_ym in args.e_yms or (0.0, 0.02, 0.05)]
         for cfg in configs:
             res = run_trajectory(cfg)

@@ -1,6 +1,6 @@
 """Command line entry point.
 
-Exit codes: 0 success, 1 config error, 2 invariant violation, 3 numerical abort.
+Exit codes: 0 success, 1 config error or bad flag, 2 invariant violation, 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -13,20 +13,26 @@ from .dirac import NumericalAbort
 from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, InvariantViolation
 from .unitary import UnitarityError
 
+# config field -> (flag, add_argument keywords) of the option that sets it
+OPTIONS = {
+    "epsilons": ("--epsilon", dict(type=float, action="append", help="lattice step; repeat for a sweep")),
+    "e_ym": ("--e-ym", dict(type=float, help="SU(2) electric field strength")),
+    "mass": ("--mass", dict(type=float, help="fermion mass")),
+    "sigma": ("--sigma", dict(type=float, help="packet width in wavenumber")),
+    "k0": ("--k0", dict(type=float, help="packet center wavenumber")),
+    "dim": ("--dim", dict(type=int, help="internal dimension N")),
+    "x_max": ("--x-max", dict(type=float, help="domain half-width")),
+    "t_max": ("--t-max", dict(type=float, help="final physical time")),
+    "seed": ("--seed", dict(type=int, help="seed for randomized checks")),
+    "output_dir": ("--out", dict(help="output directory")),
+}
 
-def _add_overrides(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override its fields")
-    sub.add_argument("--epsilon", type=float, action="append", dest="epsilons",
-                     help="lattice step; repeat for a sweep")
-    sub.add_argument("--e-ym", type=float, dest="e_ym", help="SU(2) electric field strength")
-    sub.add_argument("--mass", type=float, help="fermion mass")
-    sub.add_argument("--sigma", type=float, help="packet width in wavenumber")
-    sub.add_argument("--k0", type=float, help="packet center wavenumber")
-    sub.add_argument("--dim", type=int, help="internal dimension N")
-    sub.add_argument("--x-max", type=float, dest="x_max", help="domain half-width")
-    sub.add_argument("--t-max", type=float, dest="t_max", help="final physical time")
-    sub.add_argument("--seed", type=int, help="seed for randomized checks")
-    sub.add_argument("--out", dest="output_dir", help="output directory")
+
+class Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are a ConfigError (exit 1)."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -36,12 +42,16 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_json(args.config or None, experiment=args.experiment, **flags)
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gaugewalk", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+def make_parser() -> Parser:
+    """One subcommand per experiment, with a flag for each config field it
+    reads, plus --config."""
+    parser = Parser(prog="gaugewalk", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        _add_overrides(subs.add_parser(name))
+    for name, (_, reads) in EXPERIMENTS.items():
+        sub = subs.add_parser(name)
+        sub.add_argument("--config", help="JSON config file; flags override its fields")
+        for field in reads:
+            sub.add_argument(OPTIONS[field][0], dest=field, **OPTIONS[field][1])
     return parser
 
 
@@ -65,11 +75,9 @@ def report_failures(run) -> int:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
-
     def run():
-        cfg = build_config(args)
-        result = EXPERIMENTS[cfg.experiment](cfg)
+        cfg = build_config(make_parser().parse_args(argv))
+        result = EXPERIMENTS[cfg.experiment][0](cfg)
         summary = {k: v for k, v in result.items() if not isinstance(v, (list, dict))}
         print(json.dumps({"experiment": cfg.experiment, "output_dir": cfg.output_dir, **summary}))
 

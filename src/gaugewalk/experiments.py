@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,25 +59,23 @@ class ExperimentConfig:
         for name in ("mass", "e_ym", "sigma", "k0", "x_max", "t_max"):
             if not _is_number(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number")
-        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral):
-            raise ConfigError("dim must be an integer")
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) or self.dim < 1:
+            raise ConfigError("dim must be a positive integer")
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         if not isinstance(self.output_dir, str):
             raise ConfigError("output_dir must be a string")
-        if self.dim < 1:
-            raise ConfigError("dim must be >= 1")
-        # these run on the N = 2 fields of su2_electric_potentials and
-        # generic_su2_potentials; only gauge-check reads dim
-        if self.experiment in ("convergence", "trajectory", "evolve", "curvature-check") and self.dim != 2:
-            raise ConfigError(f"the {self.experiment} experiment runs on an SU(2) field; it needs dim = 2")
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
         if not isinstance(self.epsilons, (list, tuple)):
             raise ConfigError("epsilons must be a list of positive finite numbers")
         if not all(_is_number(e) and e > 0 for e in self.epsilons):
             raise ConfigError("epsilons must be positive finite numbers")
         self.epsilons = tuple(float(e) for e in self.epsilons)
+        _, reads = EXPERIMENTS[self.experiment]
+        for f in fields(self):
+            if f.name not in ("experiment", *reads) and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{self.experiment} does not read {f.name}: keep its default {f.default!r}")
+        if self.sigma <= 0:
+            raise ConfigError("sigma must be positive")
         if self.experiment == "convergence":
             # the slope fit needs three distinct lattice steps
             if len(self.epsilons) < 3 or len(set(self.epsilons)) != len(self.epsilons):
@@ -122,7 +120,8 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The experiment and the fields its run reads."""
+        return {name: getattr(self, name) for name in ("experiment", *EXPERIMENTS[self.experiment][1])}
 
     @property
     def epsilon(self) -> float:
@@ -184,10 +183,10 @@ def _electric_walk(cfg: ExperimentConfig, eps: float):
     spec = lattice.LatticeSpec(eps, p_max, steps + 2)
     params = dirac.DiracParams(cfg.mass, *su2_electric_potentials(cfg.e_ym), unitary.generators_u(2))
     field_ = lattice.GaugeField.from_potentials(params.b0, params.b1, spec, params.gens)
-    color = np.ones(cfg.dim) / np.sqrt(cfg.dim)
+    color = np.ones(2) / np.sqrt(2)
     packet = dirac.gaussian_packet(cfg.k0, cfg.sigma, color, dirac.SpectralGrid.from_lattice(spec), cfg.mass)
-    state = walker.WalkState(spec, cfg.dim, 0, packet.values.copy())
-    return params, field_, packet, state, walker.WalkConfig.from_mass(cfg.dim, cfg.mass, eps), steps
+    state = walker.WalkState(spec, 2, 0, packet.values.copy())
+    return params, field_, packet, state, walker.WalkConfig.from_mass(2, cfg.mass, eps), steps
 
 
 def run_convergence(cfg: ExperimentConfig) -> dict:
@@ -200,7 +199,7 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
         params, field_, packet, state, wcfg, steps = _electric_walk(cfg, eps)
         state = walker.evolve(state, field_, wcfg, steps)
         ref = dirac.solve(packet, params, cfg.t_max, dt=min(DIRAC_DT, eps))
-        ref_minus = ref.values[:, :cfg.dim]
+        ref_minus = ref.values[:, :2]
         d_re = analysis.relative_difference(ref_minus, state.psi_minus, eps, np.real)
         d_im = analysis.relative_difference(ref_minus, state.psi_minus, eps, np.imag)
         return d_re, d_im
@@ -288,6 +287,7 @@ def gauge_check_residuals(dim: int, spec: lattice.LatticeSpec, seed: int, steps:
     # field_'s memo (lattice.SLICE_CACHE) holds the whole check lattice, so
     # the primed walk finds every slice of field_ that field_t is built from
     plain = walker.evolve(psi, field_, wcfg, steps)
+    g.G(0, lattice.RUN)  # one run for field_t's first, before the primed start asks for G(0)
     primed = walker.evolve(walker.gauge_transform_state(psi, g), field_t, wcfg, steps)
     expected = walker.gauge_transform_state(plain, g)
     square = float(np.max(np.abs(primed.amplitudes - expected.amplitudes)))
@@ -313,9 +313,10 @@ def gauge_check_residuals(dim: int, spec: lattice.LatticeSpec, seed: int, steps:
     }
 
 
-def run_gauge_check(cfg: ExperimentConfig, trials: int = 20, tol: float = 1e-10) -> dict:
-    """The worst gauge_check_residuals over `trials` draws, seeded seed *
-    trials + trial, so no two seeds share a draw."""
+def run_gauge_check(cfg: ExperimentConfig) -> dict:
+    """The worst gauge_check_residuals over 20 draws, seeded seed * 20 +
+    trial, so no two seeds share a draw; each must be at most 1e-10."""
+    trials, tol = 20, 1e-10
     out = _output_dir(cfg)
     spec = lattice.LatticeSpec(0.1, 8, 52)
     worst: dict[str, float] = {}
@@ -345,7 +346,7 @@ def curvature_order_table(b0, b1, epsilons) -> dict:
         spec = lattice.LatticeSpec(eps, 4, j + 2)
         field_ = lattice.GaugeField.from_potentials(b0, b1, spec, gens)
         f = lattice.discrete_curvature(field_, j, 0)
-        f10 = lattice.continuous_curvature(b0, b1, gens, spec.time(j), 0.0, h=1e-5)
+        f10 = lattice.continuous_curvature(b0, b1, gens, spec.time(j), 0.0)
         remainders.append(float(np.max(np.abs(f - np.eye(2) - 4j * eps**2 * f10))))
         extracted = (f - np.eye(2)) / (4j * eps**2)
         extracted_err.append(float(np.max(np.abs(extracted - f10))))
@@ -411,11 +412,13 @@ def run_evolve(cfg: ExperimentConfig) -> dict:
     return {"steps": state.j, "probability_drift": drift}
 
 
-# name -> runner, in the order the command line lists them
+# name -> (runner, the config fields it reads), in command-line order: each
+# field read has a flag and a manifest entry, every other keeps its default
+_WALK_READS = ("epsilons", "e_ym", "mass", "sigma", "k0", "x_max", "t_max", "output_dir")
 EXPERIMENTS = {
-    "convergence": run_convergence,
-    "trajectory": run_trajectory,
-    "gauge-check": run_gauge_check,
-    "curvature-check": run_curvature_check,
-    "evolve": run_evolve,
+    "convergence": (run_convergence, _WALK_READS),
+    "trajectory": (run_trajectory, _WALK_READS),
+    "gauge-check": (run_gauge_check, ("dim", "seed", "output_dir")),
+    "curvature-check": (run_curvature_check, ("e_ym", "seed", "output_dir")),
+    "evolve": (run_evolve, _WALK_READS),
 }

@@ -348,13 +348,12 @@ def curvature_gauge_conjugator(g: GaugeTransformation, j: int) -> np.ndarray:
     return g.G(j - 1)[_neighbours(g.spec.n_sites)[0]]
 
 
-def continuous_curvature(b0, b1, gens: GeneratorSet, t: float, x: float, h: float = 1e-5) -> np.ndarray:
+def continuous_curvature(b0, b1, gens: GeneratorSet, t: float, x: float) -> np.ndarray:
     """F_10 = d_1 B_0 - d_0 B_1 - i [B_1, B_0] at (t, x), with B_mu = sum_k
-    b^k_mu tau_k and the derivatives taken as central differences of step h.
-    b0 and b1 are the (t, x-array) functions the walk and the Dirac
-    reference take, read by sample_potentials at the points x - h, x, x + h."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    b^k_mu tau_k and the derivatives taken as central differences of step
+    h = 1e-5.  b0 and b1 are the (t, x-array) functions the walk and the
+    Dirac reference take, read by sample_potentials at x - h, x, x + h."""
+    h = 1e-5
     xs, count = x + h * np.array([-1.0, 0.0, 1.0]), len(gens)
 
     def at(tt):

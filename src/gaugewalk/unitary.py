@@ -179,14 +179,14 @@ class FactorResult:
     branch_discontinuous: bool | np.ndarray  # det M at (or numerically near) -1
 
 
-def factorize(m: np.ndarray, tol: float = INPUT_TOL) -> FactorResult:
+def factorize(m: np.ndarray) -> FactorResult:
     """Split a unitary M, or each matrix of a stack (..., N, N), into a U(1)
     phase delta = exp(i alpha / N), with alpha the principal argument of
     det M in (-pi, pi], and an SU(N) part M / delta."""
     m = np.asarray(m, dtype=complex)
     defect = unitarity_defect(m)
-    if not defect <= tol:  # NaN, from a non-finite entry, fails too
-        raise UnitarityError(f"input not unitary (defect {defect:.2e} > {tol:.1e})")
+    if not defect <= INPUT_TOL:  # NaN, from a non-finite entry, fails too
+        raise UnitarityError(f"input not unitary (defect {defect:.2e} > {INPUT_TOL:.1e})")
     alpha = np.angle(np.linalg.det(m))
     # np.angle may return -pi; the principal interval is (-pi, pi]
     alpha = np.where(alpha <= -np.pi, np.pi, alpha)

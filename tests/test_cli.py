@@ -4,6 +4,8 @@
 import argparse
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,10 @@ from gaugewalk import lattice as lat
 from gaugewalk import unitary as un
 from gaugewalk import walker as wk
 from references import constant_field
+
+# the experiments that walk the SU(2) electric field, and a small valid walk
+WALKS = ("convergence", "trajectory", "evolve")
+WALK_FLAGS = ["--epsilon", "0.2", "--x-max", "4", "--t-max", "0.4", "--sigma", "1.6"]
 
 
 class TestExperimentConfig:
@@ -141,6 +147,21 @@ class TestGaugeCheckInternals:
         assert len(calls) <= 10
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_g_is_first_built_as_the_transformed_field_first_run(self, monkeypatch, dim):
+        # the primed start reads G(0) and the transformed field's first run
+        # G 0 .. RUN - 1: one exp_map call builds them all, not G(0) alone first
+        runs = []
+
+        def recording(coords, gens, _fn=lat.exp_map):
+            runs.append(np.shape(coords)[:2])
+            return _fn(coords, gens)
+
+        monkeypatch.setattr(lat, "exp_map", recording)
+        ex.gauge_check_residuals(dim, lat.LatticeSpec(0.1, 8, 52), 3)
+        # a field's run draws two kinds of link (P and Q), G's one
+        assert [count for count, kinds in runs if kinds == 1][0] == lat.RUN
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_residuals_equal_those_with_g_built_one_slice_at_a_time(self, monkeypatch, dim):
         spec = lat.LatticeSpec(0.1, 8, 52)
         in_runs = ex.gauge_check_residuals(dim, spec, 7)
@@ -232,13 +253,25 @@ class TestCliExitCodes:
         assert report["passed"]
         assert all(v <= 1e-10 for v in report["residuals"].values())
 
-    @pytest.mark.parametrize("experiment", ["gauge-check", "curvature-check"])
-    def test_checks_run_with_an_empty_epsilon_list(self, tmp_path, capsys, experiment):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"epsilons": []}))
-        rc = cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "run")])
-        assert rc == 0
-        assert capsys.readouterr().err == ""
+    @pytest.mark.parametrize("argv, message", [
+        (["gauge-check", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        (["evolve", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        ([], "the following arguments are required: experiment"),
+        (["nope"], "argument experiment: invalid choice: 'nope'"),
+    ], ids=["seed-not-int", "unknown-flag", "no-experiment", "unknown-experiment"])
+    def test_malformed_flags_are_exit_1(self, no_compute, capsys, argv, message):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["gauge-check", "--help"]], ids=["top", "experiment"])
+    def test_help_is_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: gaugewalk")
 
     def test_convergence_under_resolution_is_exit_1(self, no_compute, capsys):
         # k0 + 4 sigma beyond the lattice Nyquist must be refused up front:
@@ -340,8 +373,7 @@ class TestValidationBeforeCompute:
     def test_malformed_config_value(self, no_compute, tmp_path, capsys, experiment, data):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"output_dir": str(tmp_path / "run"), **data}))
-        rc = cli.main([experiment, "--config", str(path), "--epsilon", "0.2", "--x-max", "4",
-                       "--t-max", "0.4", "--sigma", "1.6"])
+        rc = cli.main([experiment, "--config", str(path), *(WALK_FLAGS if experiment in WALKS else [])])
         assert rc == 1
         assert f"config error: {next(iter(data))} must be" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
@@ -376,11 +408,36 @@ class TestValidationBeforeCompute:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("experiment", ["convergence", "trajectory", "evolve", "curvature-check"])
-    def test_su2_runs_need_dim_2(self, no_compute, tmp_path, capsys, experiment):
-        rc = cli.main([experiment, "--dim", "3", "--e-ym", "0.5", "--epsilon", "0.2", "--x-max", "4",
-                       "--t-max", "0.4", "--sigma", "1.6", "--out", str(tmp_path / "run")])
+    @pytest.mark.parametrize("route", ["flag", "file"])
+    def test_su2_runs_refuse_dim(self, no_compute, tmp_path, capsys, experiment, route):
+        # they run on the N = 2 fields of su2_electric_potentials and
+        # generic_su2_potentials; only gauge-check reads dim
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"dim": 3}))
+        given = ["--dim", "3"] if route == "flag" else ["--config", str(path)]
+        rc = cli.main([experiment, *given, "--e-ym", "0.5", *(WALK_FLAGS if experiment in WALKS else []),
+                       "--out", str(tmp_path / "run")])
         assert rc == 1
-        assert f"the {experiment} experiment runs on an SU(2) field; it needs dim = 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == {"flag": "config error: unrecognized arguments: --dim 3\n",
+                       "file": f"config error: {experiment} does not read dim: keep its default 2\n"}[route]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("experiment", ["gauge-check", "curvature-check"])
+    def test_checks_refuse_an_epsilon_list(self, no_compute, tmp_path, capsys, experiment):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"epsilons": []}))
+        rc = cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"config error: {experiment} does not read epsilons: "
+                                           "keep its default (0.4, 0.2, 0.1, 0.05)\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_unread_flags_are_refused(self, no_compute, tmp_path, capsys):
+        rc = cli.main(["gauge-check", "--epsilon", "0.05", "--mass", "3", "--sigma", "9",
+                       "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err == "config error: unrecognized arguments: --epsilon 0.05 --mass 3 --sigma 9\n"
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("experiment, seed", [("gauge-check", "-1"), ("curvature-check", "-3")])
@@ -423,28 +480,107 @@ class TestValidationBeforeCompute:
     def test_unusable_out_is_refused_before_compute(self, no_compute, tmp_path, capsys, experiment):
         blocker = tmp_path / "file"
         blocker.write_text("")
-        rc = cli.main([experiment, "--x-max", "15", "--t-max", "2", "--out", str(blocker / "sub")])
+        domain = ["--x-max", "15", "--t-max", "2"] if experiment in WALKS else []
+        rc = cli.main([experiment, *domain, "--out", str(blocker / "sub")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Not a directory" in err
 
 
-def test_every_option_of_every_experiment_reaches_the_config(monkeypatch):
+def test_subcommands_are_the_experiments():
+    subs = next(a for a in cli.make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == list(ex.EXPERIMENTS)
+
+
+@pytest.mark.parametrize("experiment", list(ex.EXPERIMENTS))
+def test_every_option_of_an_experiment_reaches_the_config(monkeypatch, experiment):
     # only the flags' route into the config is under test, not their values
     monkeypatch.setattr(ex.ExperimentConfig, "__post_init__", lambda self: None)
     parser = cli.make_parser()
-    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(subs.choices) == set(ex.EXPERIMENTS)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[experiment]
+    _, reads = ex.EXPERIMENTS[experiment]
+    options = [a for a in sub._actions if a.option_strings and a.dest not in ("help", "config")]
+    # a flag for each field the run reads, and no other
+    assert [a.dest for a in options] == list(reads)
+    flags = {a.option_strings[0] for a in options}
+    assert set(re.findall(r"--[a-z0-9-]+", sub.format_help())) == flags | {"--help", "--config"}
     default = ex.ExperimentConfig()
-    for name, sub in subs.choices.items():
-        options = [a for a in sub._actions if a.option_strings and a.dest not in ("help", "config")]
-        assert len(options) == 10
-        # every config field but the experiment has a flag, so none is set
-        # by a config file alone
-        fields = {f.name for f in dataclasses.fields(ex.ExperimentConfig)}
-        assert {a.dest for a in options} == fields - {"experiment"}
-        for action in options:
-            value = {int: "3", float: "0.375", None: "elsewhere"}[action.type]
-            args = parser.parse_args([name, action.option_strings[0], value])
-            cfg = cli.build_config(args)
-            assert getattr(cfg, action.dest) == getattr(args, action.dest) != getattr(default, action.dest)
+    for action in options:
+        value = {int: "3", float: "0.375", None: "elsewhere"}[action.type]
+        args = parser.parse_args([experiment, action.option_strings[0], value])
+        cfg = cli.build_config(args)
+        assert getattr(cfg, action.dest) == getattr(args, action.dest) != getattr(default, action.dest)
+
+
+# a valid non-default value of every config field but the experiment
+OTHER_VALUES = {"dim": 3, "mass": 0.3, "e_ym": 0.05, "epsilons": (0.2,), "sigma": 0.8, "k0": 0.5,
+                "x_max": 20.0, "t_max": 2.0, "seed": 4, "output_dir": "elsewhere"}
+
+
+def test_other_values_cover_every_field():
+    fields = {f.name: f.default for f in dataclasses.fields(ex.ExperimentConfig)}
+    assert set(OTHER_VALUES) == set(fields) - {"experiment"}
+    assert all(OTHER_VALUES[name] != fields[name] for name in OTHER_VALUES)
+
+
+@pytest.mark.parametrize("experiment, field", [(name, field) for name, (_, reads) in ex.EXPERIMENTS.items()
+                                               for field in OTHER_VALUES if field not in reads])
+def test_unread_field_is_refused(experiment, field):
+    # the 20 fields no run reads, set through the constructor; a flag or
+    # config file key reaches the same check
+    with pytest.raises(ex.ConfigError, match=f"^{experiment} does not read {field}: keep its default "):
+        ex.ExperimentConfig(experiment=experiment, **{field: OTHER_VALUES[field]})
+
+
+# a tiny run of each experiment
+TINY = {
+    "convergence": dict(epsilons=(0.4, 0.2, 0.1), x_max=4.0, t_max=0.4, sigma=1.6),
+    "trajectory": dict(epsilons=(0.2,), x_max=6.0, t_max=0.4, sigma=1.6),
+    "gauge-check": dict(dim=1),
+    "curvature-check": {},
+    "evolve": dict(epsilons=(0.2,), x_max=4.0, t_max=0.4, sigma=1.6),
+}
+
+
+@pytest.mark.parametrize("experiment", list(ex.EXPERIMENTS))
+def test_runner_reads_exactly_its_fields(tmp_path, experiment):
+    """The config fields a run reads, outside __post_init__ and to_dict, are
+    those its EXPERIMENTS entry names, and the manifest echoes just them."""
+    runner, reads = ex.EXPERIMENTS[experiment]
+    cfg = ex.ExperimentConfig(experiment=experiment, output_dir=str(tmp_path / "run"), **TINY[experiment])
+    names = {f.name for f in dataclasses.fields(cfg)}
+    read, echoing = set(), []
+
+    class Recording(ex.ExperimentConfig):
+        def __getattribute__(self, name):
+            if name in names and not echoing:
+                read.add(name)
+            return super().__getattribute__(name)
+
+        def to_dict(self):
+            echoing.append(True)
+            try:
+                return super().to_dict()
+            finally:
+                echoing.pop()
+
+    cfg.__class__ = Recording  # after __post_init__, so its reads are not recorded
+    runner(cfg)
+    assert read == set(reads)
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert set(manifest["config"]) == {"experiment", *reads}
+
+
+def test_readme_cli_table_matches_the_parser():
+    """README's CLI table lists each experiment with its flags, --config
+    aside, as make_parser builds them."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|") for line in section.splitlines() if line.startswith("| `")]
+    table = {re.fullmatch(r" `([a-z-]+)` ", row[1]).group(1): re.findall(r"`(--[a-z0-9-]+)`", row[-2])
+             for row in rows}
+    subs = next(a for a in cli.make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parser = {name: [s for a in sub._actions for s in a.option_strings if s not in ("-h", "--help", "--config")]
+              for name, sub in subs.choices.items()}
+    assert table == parser
+    assert list(table) == list(parser)

@@ -1,6 +1,6 @@
 """The command-line scripts under scripts/ load, answer --help, and report a
-refused config as gaugewalk does: one "config error:" line, exit 1, before
-any compute."""
+refused config or a malformed flag as gaugewalk does: one "config error:"
+line, exit 1, before any compute."""
 
 import importlib.util
 from pathlib import Path
@@ -55,3 +55,12 @@ def test_config_error_is_one_line_and_exit_1(name, runners, argv, field, monkeyp
     assert captured.err.startswith("config error: ") and field in captured.err
     assert captured.err.count("\n") == 1
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
+def test_malformed_flag_is_one_line_and_exit_1(path, capsys):
+    module = load(path)
+    assert module.main(["--bogus", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: unrecognized arguments: --bogus 1\n"
