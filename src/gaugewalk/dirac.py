@@ -3,16 +3,16 @@ pseudo-spectral in space, second-order Runge-Kutta in time.
 
 A SpinorField holds either point values on the grid or their DFT
 coefficients (its `spectral` flag).  A potential uniform in x acts mode by
-mode on either; one per point acts only on point values.
+mode on either; one per point acts only on point values, so a spectral field
+takes only a pair uniform in x (see lattice.sample_potentials).
 
 `solve` chooses its march once, from the potential's t = 0 sample alone.
 For one uniform in x, no two modes couple, and it marches Fourier
 coefficients with no FFT per step: those of the packet's band, the rows
 |m| <= M that hold every row above BAND_CUTOFF of the largest, as a grid of
 2M + 1 points with the caller's period and x_min, or the caller's whole grid
-when the band fills it.  Such a potential must stay uniform.  For one per
-point it marches point values on the caller's grid (one FFT out and one back
-per right-hand side), and the potential may take either shape later.
+when the band fills it.  For one per point it marches point values on the
+caller's grid (one FFT out and one back per right-hand side).
 
 Each grid keeps, once per N, the derivative symbol ik and the chirality sign
 (+1 on psi^-, -1 on psi^+) tiled to a spinor's (n, 2N) shape
@@ -153,8 +153,8 @@ def spectral_derivative(f: SpinorField) -> SpinorField:
 class DiracParams:
     """mass plus coordinate functions b0, b1: (t, x-array) -> coordinates of
     the gauge potential, read as a pair by lattice.sample_potentials;
-    (count,) means uniform in x, (n, count) one per point (see solve for a
-    potential that changes shape)."""
+    (count,) means uniform in x, (n, count) one per point.  A pair uniform
+    in x at t = 0 must stay uniform (see solve)."""
 
     mass: float
     b0: object
@@ -165,11 +165,11 @@ class DiracParams:
         if not 0 <= self.mass < np.inf:
             raise ValueError(f"mass must be >= 0 and finite, got {self.mass!r}")
 
-    def potential_matrices(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(B0, B1) at time t, of one shape: one matrix each when both samples
-        are uniform in x, one per point otherwise."""
+    def potential_matrices(self, t: float, x: np.ndarray, uniform: bool | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(B0, B1) at time t, of one shape: one matrix each for a pair uniform
+        in x, one per point otherwise (`uniform`: see sample_potentials)."""
         # both samples in one assemble: its rows are computed independently
-        b = self.gens.assemble(np.array(sample_potentials(self.b0, self.b1, t, x, len(self.gens))))
+        b = self.gens.assemble(np.array(sample_potentials(self.b0, self.b1, t, x, len(self.gens), uniform)))
         return b[0], b[1]
 
 
@@ -188,34 +188,15 @@ def coupling_matrix(b0: np.ndarray, b1: np.ndarray, mass: float) -> np.ndarray:
     return c
 
 
-def _per_point_on_coefficients(t: float) -> DimensionError:
-    return DimensionError(f"potential sample at t={t:.6g} is per point but acts on Fourier "
-                          "coefficients: solve marches them when the sample at t = 0 is uniform "
-                          "in x; return it per point at every t")
-
-
 def dirac_rhs(f: SpinorField, params: DiracParams, t: float) -> SpinorField:
     """d/dt Psi with
        d0 psi^- = +d1 psi^- + i (B0 - B1) psi^- - i m psi^+
        d0 psi^+ = -d1 psi^+ + i (B0 + B1) psi^+ - i m psi^-,
-    in f's representation; a per-point sample on a spectral f is refused."""
+    in f's representation: a spectral f takes only a pair uniform in x."""
     if f.dim != params.gens.dim:
         raise DimensionError("field and generator dimensions disagree")
-    x = f.grid.positions()
-    try:
-        c = coupling_matrix(*params.potential_matrices(t, x), params.mass)
-    except DimensionError:
-        # rows that ignore x, sized for the caller's grid rather than the band's
-        per_point = (len(params.gens),)
-        if f.spectral and any(np.shape(fn(t, x))[1:] == per_point for fn in (params.b0, params.b1)):
-            raise _per_point_on_coefficients(t) from None
-        raise
-    if c.ndim == 2:
-        out = f.values @ c.T
-    elif f.spectral:
-        raise _per_point_on_coefficients(t)
-    else:
-        out = np.einsum("pij,pj->pi", c, f.values)
+    c = coupling_matrix(*params.potential_matrices(t, f.grid.positions(), f.spectral or None), params.mass)
+    out = f.values @ c.T if c.ndim == 2 else np.einsum("pij,pj->pi", c, f.values)
     d = spectral_derivative(f)
     # signed in place: a field-sized temporary per call costs page faults
     # on large grids
@@ -309,9 +290,9 @@ def solve(initial: SpinorField, params: DiracParams, t_max: float, dt: float) ->
 
     The march is chosen once, from the potential's t = 0 sample alone:
     Fourier coefficients (the packet's band, see _band) when it is uniform in
-    x, where a later per-point sample is a DimensionError naming its t; point
-    values on the caller's grid when it is per point.  The caller receives an
-    x-space field on its own grid."""
+    x, and then the pair must stay uniform; point values on the caller's grid
+    when it is per point.  The caller receives an x-space field on its own
+    grid."""
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not 0 <= t_max < np.inf:

@@ -45,7 +45,7 @@ class ExperimentConfig:
     dim: int = 2
     mass: float = 0.1
     e_ym: float = 0.08
-    epsilons: tuple[float, ...] = (0.4, 0.2, 0.1, 0.05)
+    epsilons: tuple[float, ...] | None = None  # None: the walk experiment's own (__post_init__)
     sigma: float = 0.5
     k0: float = 0.0
     x_max: float = 100.0
@@ -65,12 +65,15 @@ class ExperimentConfig:
             raise ConfigError("seed must be a non-negative integer")
         if not isinstance(self.output_dir, str):
             raise ConfigError("output_dir must be a string")
-        if not isinstance(self.epsilons, (list, tuple)):
-            raise ConfigError("epsilons must be a list of positive finite numbers")
-        if not all(_is_number(e) and e > 0 for e in self.epsilons):
-            raise ConfigError("epsilons must be positive finite numbers")
-        self.epsilons = tuple(float(e) for e in self.epsilons)
         _, reads = EXPERIMENTS[self.experiment]
+        if self.epsilons is None and "epsilons" in reads:  # convergence sweeps; evolve and trajectory walk one
+            self.epsilons = (0.4, 0.2, 0.1, 0.05) if self.experiment == "convergence" else (0.4,)
+        if self.epsilons is not None:
+            if not isinstance(self.epsilons, (list, tuple)):
+                raise ConfigError("epsilons must be a list of positive finite numbers")
+            if not all(_is_number(e) and e > 0 for e in self.epsilons):
+                raise ConfigError("epsilons must be positive finite numbers")
+            self.epsilons = tuple(float(e) for e in self.epsilons)
         for f in fields(self):
             if f.name not in ("experiment", *reads) and getattr(self, f.name) != f.default:
                 raise ConfigError(f"{self.experiment} does not read {f.name}: keep its default {f.default!r}")
@@ -80,15 +83,15 @@ class ExperimentConfig:
             # the slope fit needs three distinct lattice steps
             if len(self.epsilons) < 3 or len(set(self.epsilons)) != len(self.epsilons):
                 raise ConfigError("convergence needs at least 3 distinct epsilons")
-        elif self.experiment in ("evolve", "trajectory") and not self.epsilons:
-            raise ConfigError(f"the {self.experiment} experiment walks at epsilons[0]; epsilons must not be empty")
-        walked = {"convergence": self.epsilons, "evolve": self.epsilons[:1], "trajectory": self.epsilons[:1]}
+        elif self.experiment in ("evolve", "trajectory") and len(self.epsilons) != 1:
+            raise ConfigError(f"the {self.experiment} experiment walks one lattice step: "
+                              f"epsilons must hold one, not {len(self.epsilons)}")
         # the packet's spinor needs m > 0.  trajectory refuses m <= 0 when it
         # runs, not here: gwbench's failure-count self-test needs a
         # `trajectory --mass 0` config that passes set-up and then exits 1
         if self.experiment in ("convergence", "evolve") and self.mass <= 0:
             raise ConfigError(f"mass must be positive: the {self.experiment} packet needs m > 0")
-        for eps in walked.get(self.experiment, ()):
+        for eps in self.epsilons or ():
             # the packet's wavenumber support must fit under the lattice Nyquist
             if abs(self.k0) + 4 * self.sigma > np.pi / eps:
                 raise ConfigError(f"packet under-resolved at eps={eps}: |k0| + 4*sigma exceeds pi/eps")

@@ -87,28 +87,35 @@ def _check_links(links: np.ndarray, spec: LatticeSpec, j: int, kinds: str) -> No
     raise UnitarityError(f"{kinds[k]} slice j={j + l} not unitary (defect {per_link[l, k]:.2e})")
 
 
-def sample_potentials(b0, b1, t: float, x: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+def sample_potentials(b0, b1, t: float, x: np.ndarray, count: int,
+                      uniform: bool | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(b0, b1)(t, x) as real coordinates in a basis of `count` generators,
-    at one shape.  Each sample is (count,) for a potential uniform in x or
-    (len(x), count) for one per point; a uniform member beside a per-point
-    one is broadcast (read-only) to its shape.  Any other shape, a nonzero
-    imaginary part or a non-finite entry is refused."""
+    of one kind: uniform in x, both samples (count,), or per point,
+    (len(x), count) with a uniform member broadcast (read-only) to it.
+    `uniform` fixes the kind, as the caller's t = 0 sample did; None takes
+    this sample's.  A shape outside the kind is one DimensionError naming t
+    and both shapes; a nonzero imaginary part or a non-finite entry is
+    refused too."""
+    samples = np.asarray(b0(t, x)), np.asarray(b1(t, x))
+    shapes = samples[0].shape, samples[1].shape
+    if uniform is None:
+        uniform = shapes == ((count,), (count,))
     pair = []
-    for fn in (b0, b1):
-        coords = np.asarray(fn(t, x))
-        if coords.shape != (count,) and coords.shape != (len(x), count):
-            raise DimensionError(f"potential sample at t={t} has shape {coords.shape}, "
-                                 f"expected {(count,)} or {(len(x), count)}")
+    for coords in samples:
+        if coords.shape != (count,) and (uniform or coords.shape != (len(x), count)):
+            want = f"{(count,)}, as the pair is uniform in x" if uniform else f"{(count,)} or {(len(x), count)}"
+            raise DimensionError(f"potential sample at t={t:.6g} has shapes {shapes[0]} and {shapes[1]}: "
+                                 f"each must be {want}")
         if np.iscomplexobj(coords) and np.any(coords.imag != 0):
-            raise ValueError(f"potential sample at t={t} has a nonzero imaginary part")
+            raise ValueError(f"potential sample at t={t:.6g} has a nonzero imaginary part")
         coords = np.asarray(coords.real, dtype=float)
         if not np.isfinite(coords).all():
             bad = np.argwhere(~np.isfinite(coords))[0]
-            raise ValueError(f"non-finite potential sample at t={t}"
+            raise ValueError(f"non-finite potential sample at t={t:.6g}"
                              + (f", x={x[bad[0]]}" if coords.ndim == 2 else ""))
         pair.append(coords)
     c0, c1 = pair
-    if c0.shape != c1.shape:
+    if not uniform and min(c0.ndim, c1.ndim) == 1:
         c0, c1 = (np.broadcast_to(c, (len(x), count)) for c in (c0, c1))
     return c0, c1
 
@@ -195,23 +202,21 @@ class GaugeField:
         (b0 + b1)(t_j, x_p)).  b0 and b1 are coordinate functions of
         (t, x-array), read by sample_potentials.
 
-        A run samples slice j first, so its errors name t_j, then the next
-        slices while each pair keeps slice j's shape (uniform in x or per
-        site), up to its count or j_max.  A later sample of the other shape,
-        or one that raises, ends the run; its slice is sampled again, and
-        built or refused, when requested."""
+        The t = 0 sample, taken here, fixes the pair's kind (uniform in x or
+        per site, see sample_potentials), so a pair bad at t = 0 fails before
+        any link is built.  A run samples slice j first, so its errors name
+        t_j, then the next slices up to its count or j_max; a later sample
+        that raises ends the run, and its slice raises when requested."""
         x = spec.positions()
+        uniform = sample_potentials(b0, b1, 0.0, x, len(gens))[0].ndim == 1
 
         def run(j, count):
-            pairs = [sample_potentials(b0, b1, spec.time(j), x, len(gens))]
+            pairs = [sample_potentials(b0, b1, spec.time(j), x, len(gens), uniform)]
             for k in range(j + 1, min(j + count, spec.j_max + 1)):
                 try:
-                    pair = sample_potentials(b0, b1, spec.time(k), x, len(gens))
+                    pairs.append(sample_potentials(b0, b1, spec.time(k), x, len(gens), uniform))
                 except Exception:  # the run ends; slice k's own request raises it
                     break
-                if pair[0].shape != pairs[0][0].shape:
-                    break
-                pairs.append(pair)
             c = np.array(pairs)  # (run, 2, count) or (run, 2, n_sites, count)
             # (b0 - b1, b0 + b1) per slice of the run
             coords = np.stack((c[:, 0] - c[:, 1], c[:, 0] + c[:, 1]), 1) * spec.epsilon

@@ -29,7 +29,10 @@ class TestExperimentConfig:
     def test_defaults_valid(self):
         cfg = ex.ExperimentConfig(experiment="evolve")
         assert cfg.dim == 2
-        assert cfg.epsilons == (0.4, 0.2, 0.1, 0.05)
+        # a walk experiment's own lattice steps: one for a single walk, a sweep for convergence
+        assert cfg.epsilons == ex.ExperimentConfig(experiment="trajectory").epsilons == (0.4,)
+        assert ex.ExperimentConfig().epsilons == (0.4, 0.2, 0.1, 0.05)
+        assert ex.ExperimentConfig(experiment="gauge-check").epsilons is None
 
     def test_unknown_experiment(self):
         with pytest.raises(ex.ConfigError):
@@ -66,7 +69,7 @@ class TestExperimentConfig:
         assert (cfg.t_max, cfg.mass) == (3.0, 0.3)
         assert ex.ExperimentConfig.from_json(None, experiment="evolve") == ex.ExperimentConfig(experiment="evolve")
 
-    @pytest.mark.parametrize("epsilons", [0.1, "0.1", None])
+    @pytest.mark.parametrize("epsilons", [0.1, "0.1", {}])
     def test_epsilons_must_be_a_list(self, epsilons):
         with pytest.raises(ex.ConfigError, match="^epsilons must be a list of positive finite numbers$"):
             ex.ExperimentConfig(experiment="evolve", epsilons=epsilons)
@@ -345,7 +348,21 @@ class TestValidationBeforeCompute:
                        "--out", str(tmp_path / "run")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "epsilons must not be empty" in err
+        assert err.startswith("config error: ") and "epsilons must hold one, not 0" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("experiment", ["evolve", "trajectory"])
+    @pytest.mark.parametrize("route", ["flag", "file"])
+    def test_walk_refuses_a_second_epsilon(self, no_compute, tmp_path, capsys, experiment, route):
+        # a single walk takes one lattice step: a second is refused, not ignored
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"epsilons": [0.2, 0.1]}))
+        given = ["--epsilon", "0.2", "--epsilon", "0.1"] if route == "flag" else ["--config", str(path)]
+        rc = cli.main([experiment, *given, "--x-max", "4", "--t-max", "0.4", "--sigma", "1.6",
+                       "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"config error: the {experiment} experiment walks one lattice step: "
+                                           "epsilons must hold one, not 2\n")
         assert not (tmp_path / "run").exists()
 
     def test_trajectory_without_safe_zone(self, no_compute, tmp_path, capsys):
@@ -430,7 +447,7 @@ class TestValidationBeforeCompute:
         rc = cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "run")])
         assert rc == 1
         assert capsys.readouterr().err == (f"config error: {experiment} does not read epsilons: "
-                                           "keep its default (0.4, 0.2, 0.1, 0.05)\n")
+                                           "keep its default None\n")
         assert not (tmp_path / "run").exists()
 
     def test_unread_flags_are_refused(self, no_compute, tmp_path, capsys):

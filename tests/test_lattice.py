@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaugewalk import cli
+from gaugewalk import dirac as dr
 from gaugewalk import experiments as ex
 from gaugewalk import lattice as lat
 from gaugewalk import unitary as un
@@ -208,22 +210,24 @@ class TestGaugeField:
                 constant_field(spec, at_site, eye).P(0)
 
     def test_potential_samples_checked(self):
+        # the t = 0 sample is taken when the field is made, so a pair bad
+        # there fails before any link is built
         spec = small_spec()
         gens = un.generators_u(1)
         ok = lambda t, x: np.array([0.3])
 
         def build(fn):
-            return lat.GaugeField.from_potentials(fn, ok, spec, gens).P(2)
+            return lat.GaugeField.from_potentials(fn, ok, spec, gens)
 
-        with pytest.raises(un.DimensionError):
+        with pytest.raises(un.DimensionError, match=rf"^potential sample at t=0 has shapes \({spec.n_sites + 1}, 1\)"):
             build(lambda t, x: np.zeros((spec.n_sites + 1, 1)))
-        with pytest.raises(un.DimensionError):
+        with pytest.raises(un.DimensionError, match=r"^potential sample at t=0 has shapes \(2,\) and \(1,\)"):
             build(lambda t, x: np.zeros(2))
-        with pytest.raises(ValueError, match=r"non-finite potential sample at t=0\.2$"):
+        with pytest.raises(ValueError, match=r"non-finite potential sample at t=0$"):
             build(lambda t, x: np.array([np.inf]))
         per_site = np.zeros((spec.n_sites, 1))
         per_site[spec.site_index(1)] = np.nan
-        with pytest.raises(ValueError, match=r"at t=0\.2, x=0\.1"):
+        with pytest.raises(ValueError, match=r"at t=0, x=0\.1"):
             build(lambda t, x: per_site)
 
 
@@ -275,7 +279,8 @@ class TestSamplePotentials:
     def test_each_member_is_checked(self):
         x = small_spec().positions()
         ok = lambda t, xx: np.zeros(4)
-        with pytest.raises(un.DimensionError, match=r"^potential sample at t=0\.5 has shape \(3,\)"):
+        with pytest.raises(un.DimensionError, match=r"^potential sample at t=0\.5 has shapes \(4,\) and \(3,\): "
+                                                   r"each must be \(4,\) or \(11, 4\)$"):
             lat.sample_potentials(ok, lambda t, xx: np.zeros(3), 0.5, x, 4)
         with pytest.raises(ValueError, match=r"^non-finite potential sample at t=0\.5$"):
             lat.sample_potentials(lambda t, xx: np.full(4, np.nan), ok, 0.5, x, 4)
@@ -296,9 +301,75 @@ class TestSamplePotentials:
         assert c0.dtype == float and np.array_equal(c0, np.arange(4.0))
 
 
+class TestOnePotentialKind:
+    """A pair's kind is fixed by its t = 0 sample: uniform in x when both
+    samples are (count,), per point otherwise.  Every reader refuses a
+    uniform pair that samples per point later, naming t and both shapes; a
+    per-point pair takes a member that is uniform later as broadcast rows."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("caller", ["from_potentials", "solve-band-rows", "solve-caller-rows",
+                                        "dirac_rhs-spectral"])
+    def test_a_uniform_pair_that_turns_per_point_is_refused(self, dim, caller):
+        b0, b1, gens = smooth_potentials(dim)
+        coef = np.random.default_rng(dim).normal(0, 0.5, len(gens))
+        grid = dr.SpectralGrid(128, -6.4, 0.1)
+        # from t = 0.255 on, rows that vary in x: one per point sampled, or
+        # one per point of the caller's 128-point grid whatever x is
+        later = lambda x: np.outer(np.sin(grid.positions() if caller == "solve-caller-rows" else x), coef)
+        turning = lambda t, x: b1(t, x) + (later(x) if t > 0.255 else 0)
+        params = dr.DiracParams(0.3, b0, turning, gens)
+        if caller == "from_potentials":
+            spec = small_spec(j_max=12)
+            field = lat.GaugeField.from_potentials(b0, turning, spec, gens)
+            field.P(0, lat.RUN)  # a run of slices 0 .. 2
+            t, rows, refused = 0.3, spec.n_sites, lambda: field.P(3)
+        elif caller == "dirac_rhs-spectral":
+            f = dr.SpinorField(grid, dim, np.ones((grid.n_points, 2 * dim)), spectral=True)
+            dr.dirac_rhs(f, params, 0.25)
+            t, rows, refused = 0.3, grid.n_points, lambda: dr.dirac_rhs(f, params, 0.3)
+        else:
+            # the packet's band is well inside the grid, so solve marches its
+            # coefficients on a smaller grid; the step from t = 0.26 meets the turn
+            f = dr.gaussian_packet(1.0, 1.0, np.ones(dim), grid, 0.3)
+            band = dr._band(f.to_spectral()).grid.n_points
+            assert band < grid.n_points // 2
+            rows = grid.n_points if caller == "solve-caller-rows" else band
+            t, refused = 0.26, lambda: dr.solve(f, params, 0.53, 0.02)
+        count = len(gens)
+        message = (rf"^potential sample at t={t} has shapes \({count},\) and \({rows}, {count}\): "
+                   rf"each must be \({count},\), as the pair is uniform in x$")
+        with pytest.raises(un.DimensionError, match=message):
+            refused()
+        assert cli.report_failures(refused) == 1  # a config error
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("caller", ["from_potentials", "solve", "dirac_rhs"])
+    def test_a_per_point_pair_takes_a_later_uniform_member_as_broadcast_rows(self, dim, caller):
+        b0, b1, gens = smooth_potentials(dim)
+        per_point = lambda fn: lambda t, x: np.cos(x)[:, None] * fn(t, x)
+        # b1 per point until t = 0.255, uniform in x from then on
+        turning = lambda t, x: b1(t, x) if t > 0.255 else per_point(b1)(t, x)
+        rows = lambda t, x: np.broadcast_to(turning(t, x), (len(x), len(gens)))
+        pairs = [(per_point(b0), b1_) for b1_ in (turning, rows)]
+        if caller == "from_potentials":
+            spec = small_spec(j_max=12)
+            got, want = (lat.GaugeField.from_potentials(*pair, spec, gens) for pair in pairs)
+            for j in range(spec.j_max + 1):
+                links = (got.P(j, lat.RUN), got.Q(j))
+                assert not any(lat.uniform_in_x(a) for a in links)
+                assert all(np.array_equal(a, w) for a, w in zip(links, (want.P(j), want.Q(j))))
+            return
+        got, want = (dr.DiracParams(0.3, *pair, gens) for pair in pairs)
+        f = dr.SpinorField(dr.SpectralGrid(33, -3.3, 0.2), dim, np.ones((33, 2 * dim)))
+        if caller == "solve":
+            assert np.array_equal(dr.solve(f, got, 0.53, 0.02).values, dr.solve(f, want, 0.53, 0.02).values)
+        else:
+            assert np.array_equal(dr.dirac_rhs(f, got, 0.4).values, dr.dirac_rhs(f, want, 0.4).values)
+
+
 class TestPotentialRuns:
-    """A potential is built a run of slices at a time, while its samples keep
-    one shape."""
+    """A potential is built a run of slices at a time."""
 
     DIMS = [1, 2, 3, 4]
 
@@ -322,23 +393,6 @@ class TestPotentialRuns:
             c0, c1 = np.broadcast_arrays(b0(t, x), b1(t, x))
             want = un.exp_map(spec.epsilon * np.stack((c0 - c1, c0 + c1)), gens)
             assert all(np.array_equal(a, w) and not lat.uniform_in_x(a) for a, w in zip(links, want))
-
-    @pytest.mark.parametrize("dim", DIMS)
-    def test_a_run_ends_where_the_sample_shape_changes(self, monkeypatch, dim):
-        spec = small_spec(p_max=3, j_max=12)
-        b0, b1, gens = smooth_potentials(dim)
-        clean = lat.GaugeField.from_potentials(b0, b1, spec, gens)
-        want = [(clean.P(j), clean.Q(j)) for j in range(spec.j_max + 1)]
-        # b1 per site on slices 4 .. 8, uniform in x before and after them
-        per_site = range(4, 9)
-        shaped = lambda t, x: np.tile(b1(t, x), (len(x), 1)) if round(t / spec.epsilon) in per_site else b1(t, x)
-        runs = exp_map_runs(monkeypatch)
-        field = lat.GaugeField.from_potentials(b0, shaped, spec, gens)
-        for j in range(spec.j_max + 1):
-            links = (field.P(j, lat.RUN), field.Q(j))
-            assert all(lat.uniform_in_x(a) == (j not in per_site) for a in links)
-            assert all(np.max(np.abs(a - w)) <= 1e-13 for a, w in zip(links, want[j]))
-        assert runs == [4, 5, 4]
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_slice_equals_its_build_alone_at_any_offset_in_a_run(self, dim):
@@ -367,8 +421,9 @@ class TestPotentialRuns:
     @pytest.mark.parametrize("bad, message", [
         (lambda c, x: np.full_like(c, np.nan), r"^non-finite potential sample at t={t}$"),
         (lambda c, x: np.zeros(len(c) + 1), r"^potential sample at t={t} has shape"),
+        # per site in a pair uniform at t = 0: a change of kind
         (lambda c, x: np.where(x[:, None] > 0, np.inf, np.tile(c, (len(x), 1))),
-         r"^non-finite potential sample at t={t}, x="),
+         r"^potential sample at t={t} has shapes .*, as the pair is uniform in x$"),
     ])
     def test_a_bad_sample_later_in_a_run_fails_only_its_own_slice(self, dim, bad, message):
         spec = small_spec(j_max=12)
@@ -378,21 +433,9 @@ class TestPotentialRuns:
         field = lat.GaugeField.from_potentials(b0, spoiled(b1, spec, k, bad), spec, gens)
         for j in range(k):  # slice 0's request builds slices 0 .. k - 1 as one run
             assert np.array_equal(field.P(j, lat.RUN), clean.P(j)) and np.array_equal(field.Q(j), clean.Q(j))
-        with pytest.raises(ValueError, match=message.format(t=spec.time(k))):
+        with pytest.raises(ValueError, match=message.format(t=f"{spec.time(k):.6g}")):
             field.P(k, lat.RUN)
         assert np.array_equal(field.Q(k + 1), clean.Q(k + 1))
-
-    @pytest.mark.parametrize("dim", DIMS)
-    def test_a_per_site_sample_later_in_a_run_is_built_per_site(self, dim):
-        spec = small_spec(j_max=12)
-        b0, b1, gens = smooth_potentials(dim)
-        k = 4
-        field = lat.GaugeField.from_potentials(spoiled(b0, spec, k, lambda c, x: np.tile(c, (len(x), 1))),
-                                               b1, spec, gens)
-        clean = lat.GaugeField.from_potentials(b0, b1, spec, gens)
-        for j in range(spec.j_max + 1):
-            assert (field.P(j, lat.RUN).strides[0] == 0) == (j != k)
-            assert np.max(np.abs(field.P(j) - clean.P(j))) <= 1e-13
 
     @pytest.mark.parametrize("dim", DIMS)
     @pytest.mark.parametrize("kind", [0, 1])

@@ -1,5 +1,6 @@
 """Walk dynamics: coin, transport, probability, gauge covariance."""
 
+import resource
 import threading
 import tracemalloc
 
@@ -520,6 +521,20 @@ def test_per_site_step_allocates_at_most_two_and_a_quarter_states():
     finally:
         tracemalloc.stop()
     assert peak <= 2.25 * state.amplitudes.nbytes
+
+
+def test_a_long_uniform_walk_takes_few_page_faults():
+    """The 800 steps of the benchmark's evolve (2801 sites, the x-uniform
+    field of _electric_walk) fault in few pages: a step whose freed arrays
+    glibc trims from the heap top and faults back in took about 22 000 minor
+    faults over this walk; kept, it takes about 10 to 130."""
+    cfg = ex.ExperimentConfig(experiment="evolve", epsilons=(0.025,), e_ym=0.05, sigma=0.5, k0=1.0,
+                              x_max=35.0, t_max=20.0)
+    _, field, _, state, config, steps = ex._electric_walk(cfg, cfg.epsilon)
+    assert (state.spec.n_sites, steps) == (2801, 800)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    wk.evolve(state, field, config, steps)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 2000
 
 
 @pytest.mark.parametrize("p_max, dim, first, then", [(150, 2, 45, 55), (1024, 3, 13, 27)])
