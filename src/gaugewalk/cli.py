@@ -75,8 +75,17 @@ def report_failures(run) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+
     def run():
-        cfg = build_config(make_parser().parse_args(argv))
+        try:
+            cfg = build_config(make_parser().parse_args(argv))
+        except ConfigError:
+            # a flag before the experiment is unknown, and argparse takes its value for the experiment
+            head = argv[:next((i for i, a in enumerate(argv) if a in EXPERIMENTS), len(argv))]
+            if any(a.startswith("-") for a in head):
+                raise ConfigError(f"unrecognized arguments: {' '.join(head)}") from None
+            raise
         result = EXPERIMENTS[cfg.experiment][0](cfg)
         summary = {k: v for k, v in result.items() if not isinstance(v, (list, dict))}
         print(json.dumps({"experiment": cfg.experiment, "output_dir": cfg.output_dir, **summary}))

@@ -270,7 +270,8 @@ def run_trajectory(cfg: ExperimentConfig) -> dict:
     io.write_trajectory_csv(csv_path, times, xbar, xcl, cfg.e_ym)
     io.write_manifest(out, cfg.to_dict(), [csv_path])
     return {"t": times, "xbar_walk": xbar, "x_classical": xcl,
-            "final_xbar": xbar[-1], "final_x_classical": xcl[-1]}
+            "final_xbar": xbar[-1], "final_x_classical": xcl[-1], "traversed": abs(xcl[-1] - xcl[0]),
+            "max_deviation": float(np.max(np.abs(np.subtract(xbar, xcl))))}
 
 
 def gauge_check_residuals(dim: int, spec: lattice.LatticeSpec, seed: int, steps: int = 50) -> dict:

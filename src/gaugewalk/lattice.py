@@ -204,14 +204,16 @@ class GaugeField:
 
         The t = 0 sample, taken here, fixes the pair's kind (uniform in x or
         per site, see sample_potentials), so a pair bad at t = 0 fails before
-        any link is built.  A run samples slice j first, so its errors name
-        t_j, then the next slices up to its count or j_max; a later sample
-        that raises ends the run, and its slice raises when requested."""
+        any link is built; slice 0's run uses it.  A run samples slice j
+        first, so its errors name t_j, then the next slices up to its count
+        or j_max; a later sample that raises ends the run, and its slice
+        raises when requested."""
         x = spec.positions()
-        uniform = sample_potentials(b0, b1, 0.0, x, len(gens))[0].ndim == 1
+        first = sample_potentials(b0, b1, 0.0, x, len(gens))
+        uniform = first[0].ndim == 1
 
         def run(j, count):
-            pairs = [sample_potentials(b0, b1, spec.time(j), x, len(gens), uniform)]
+            pairs = [first if j == 0 else sample_potentials(b0, b1, spec.time(j), x, len(gens), uniform)]
             for k in range(j + 1, min(j + count, spec.j_max + 1)):
                 try:
                     pairs.append(sample_potentials(b0, b1, spec.time(k), x, len(gens), uniform))

@@ -174,11 +174,7 @@ def _trajectory_deviation(tmp_path, e_ym, k0, sigma, tag):
         epsilons=(0.1,), sigma=sigma, k0=k0, x_max=35.0, t_max=20.0,
         output_dir=str(tmp_path / tag))
     res = ex.run_trajectory(cfg)
-    xbar = np.array(res["xbar_walk"])
-    xcl = np.array(res["x_classical"])
-    max_dev = float(np.max(np.abs(xbar - xcl)))
-    traversed = abs(xcl[-1] - xcl[0])
-    return max_dev, traversed
+    return res["max_deviation"], res["traversed"]
 
 
 def test_criterion_07a_trajectory_moving_packet(tmp_path):

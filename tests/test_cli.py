@@ -2,9 +2,11 @@
 0 success, 1 config error, 2 invariant violation, 3 numerical abort."""
 
 import argparse
+import csv
 import dataclasses
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -205,10 +207,14 @@ class TestCliExitCodes:
         assert set(manifest["artifacts"]) == {"state.csv", "state.ckpt"}
         assert manifest["config"]["t_max"] == 1.0
 
-    def test_config_error_is_exit_1(self, capsys):
+    def test_config_error_is_exit_1(self, no_compute, tmp_path, capsys):
         rc = cli.main(["evolve", "--epsilon", "-0.1"])
         assert rc == 1
         assert "config error" in capsys.readouterr().err
+        rc = cli.main(["convergence", "--epsilon", "-0.1", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error: epsilons")
+        assert not (tmp_path / "run").exists()
 
     def test_missing_config_file_is_exit_1(self, capsys):
         rc = cli.main(["evolve", "--config", "/nonexistent/c.json"])
@@ -261,7 +267,12 @@ class TestCliExitCodes:
         (["evolve", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
         ([], "the following arguments are required: experiment"),
         (["nope"], "argument experiment: invalid choice: 'nope'"),
-    ], ids=["seed-not-int", "unknown-flag", "no-experiment", "unknown-experiment"])
+        # an unknown flag before the experiment, whose value argparse would take for the experiment
+        (["--bogus", "1"], "unrecognized arguments: --bogus 1\n"),
+        (["-x", "1"], "unrecognized arguments: -x 1\n"),
+        (["--bogus=1"], "unrecognized arguments: --bogus=1\n"),
+    ], ids=["seed-not-int", "unknown-flag", "no-experiment", "unknown-experiment",
+            "flag-before-experiment", "short-flag-before-experiment", "flag-with-value-before-experiment"])
     def test_malformed_flags_are_exit_1(self, no_compute, capsys, argv, message):
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
@@ -492,6 +503,7 @@ class TestValidationBeforeCompute:
         rc = cli.main(["trajectory", "--sigma", "0", "--out", str(tmp_path / "run")])
         assert rc == 1
         assert "sigma must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("experiment", list(ex.EXPERIMENTS))
     def test_unusable_out_is_refused_before_compute(self, no_compute, tmp_path, capsys, experiment):
@@ -502,6 +514,35 @@ class TestValidationBeforeCompute:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Not a directory" in err
+
+
+def test_trajectory_summary_gives_the_deviation_and_the_distance(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = cli.main(["trajectory", "--epsilon", "0.2", "--x-max", "15", "--t-max", "2", "--k0", "1",
+                   "--e-ym", "0.05", "--out", str(out)])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    with open(out / "trajectory.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    xw, xc = (np.array([float(r[k]) for r in rows]) for k in ("xbar_walk", "x_classical"))
+    # recomputed from the written columns, bit for bit
+    assert summary["max_deviation"] == float(np.max(np.abs(xw - xc))) > 0
+    assert summary["traversed"] == abs(xc[-1] - xc[0]) > 0
+
+
+def test_readme_commands_parse():
+    """Every `gaugewalk` line in README's sh blocks, the paper runs among
+    them, is a valid config; none is run."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M)
+    lines = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()
+             if line.startswith("gaugewalk ")]
+    assert {argv[1] for argv in lines} == set(ex.EXPERIMENTS)
+    for argv in lines:
+        try:
+            cli.build_config(cli.make_parser().parse_args(argv[1:]))
+        except ex.ConfigError as exc:
+            pytest.fail(f"{shlex.join(argv)}: {exc}")
 
 
 def test_subcommands_are_the_experiments():

@@ -417,6 +417,26 @@ class TestPotentialRuns:
             assert all(np.array_equal(a, b) and a.strides[0] == 0 and not a.flags.writeable
                        for a, b in zip(got, want))
 
+    @pytest.mark.parametrize("per_site", [False, True], ids=["uniform", "per-site"])
+    def test_the_t0_sample_is_slice_0s(self, per_site):
+        # the sample taken when the field is made is the one slice 0 is built from
+        spec = small_spec()
+        b0, b1, gens = smooth_potentials(2)
+        if per_site:
+            b1 = lambda t, x, _fn=b1: np.cos(x)[:, None] * _fn(t, x)
+        times = []
+
+        def counted(t, x):
+            times.append(t)
+            return b0(t, x)
+
+        field = lat.GaugeField.from_potentials(counted, b1, spec, gens)
+        got = field.P(0, 4), field.Q(0)
+        assert times == [spec.time(j) for j in range(4)]  # 0, 0.1, 0.2, 0.3: t = 0 once
+        c0, c1 = np.broadcast_arrays(b0(0.0, spec.positions()), b1(0.0, spec.positions()))
+        want = un.exp_map(spec.epsilon * np.stack((c0 - c1, c0 + c1)), gens)
+        assert all(np.array_equal(a, np.broadcast_to(w, a.shape)) for a, w in zip(got, want))
+
     @pytest.mark.parametrize("dim", DIMS)
     @pytest.mark.parametrize("bad, message", [
         (lambda c, x: np.full_like(c, np.nan), r"^non-finite potential sample at t={t}$"),
