@@ -287,6 +287,16 @@ class TestCliExitCodes:
         assert info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: gaugewalk")
 
+    @pytest.mark.parametrize("experiment", list(ex.EXPERIMENTS))
+    def test_every_experiment_answers_help(self, no_compute, capsys, experiment):
+        # README's paper runs name these subcommands; each prints its own usage
+        with pytest.raises(SystemExit) as info:
+            cli.main([experiment, "--help"])
+        assert info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: gaugewalk {experiment} ")
+        assert captured.err == ""
+
     def test_convergence_under_resolution_is_exit_1(self, no_compute, capsys):
         # k0 + 4 sigma beyond the lattice Nyquist must be refused up front:
         # 4 sigma = 12 exceeds pi / 0.4 ~ 7.9 on the coarsest leg
