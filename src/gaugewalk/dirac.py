@@ -17,7 +17,8 @@ caller's grid (one FFT out and one back per right-hand side).
 Each grid keeps, once per N, the derivative symbol ik and the chirality sign
 (+1 on psi^-, -1 on psi^+) tiled to a spinor's (n, 2N) shape
 (`SpectralGrid.spinor_symbols`), so the per-step products run over whole
-contiguous arrays."""
+contiguous arrays.  A uniform pair's coupling is the stacked (B0, B1) times a
+0, +-1 map plus mass terms, both made once per DiracParams (`_coupling_map`)."""
 
 from __future__ import annotations
 
@@ -133,19 +134,24 @@ class SpinorField:
     def to_spectral(self) -> "SpinorField":
         if self.spectral:
             return self
-        return SpinorField(self.grid, self.dim, np.fft.fft(self.values, axis=0), True)
+        return self._with(np.fft.fft(self.values, axis=0), True)
 
     def to_physical(self) -> "SpinorField":
         if not self.spectral:
             return self
-        return SpinorField(self.grid, self.dim, np.fft.ifft(self.values, axis=0))
+        return self._with(np.fft.ifft(self.values, axis=0), False)
+
+    def _with(self, values: np.ndarray, spectral: bool) -> "SpinorField":
+        """This grid and dim around complex values of this shape, unchecked."""
+        f = object.__new__(SpinorField)
+        f.grid, f.dim, f.values, f.spectral = self.grid, self.dim, values, spectral
+        return f
 
 
 def spectral_derivative(f: SpinorField) -> SpinorField:
     """Componentwise d/dx in f's representation: multiply the coefficients
     by ik (FFT in and out for an x-space field)."""
-    hat = f.to_spectral().values * f.grid.spinor_symbols(f.dim)[0]
-    d = SpinorField(f.grid, f.dim, hat, True)
+    d = f._with(f.to_spectral().values * f.grid.spinor_symbols(f.dim)[0], True)
     return d if f.spectral else d.to_physical()
 
 
@@ -165,12 +171,20 @@ class DiracParams:
         if not 0 <= self.mass < np.inf:
             raise ValueError(f"mass must be >= 0 and finite, got {self.mass!r}")
 
-    def potential_matrices(self, t: float, x: np.ndarray, uniform: bool | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(B0, B1) at time t, of one shape: one matrix each for a pair uniform
-        in x, one per point otherwise (`uniform`: see sample_potentials)."""
+    def potential_matrices(self, t: float, x: np.ndarray, uniform: bool | None = None) -> np.ndarray:
+        """B0 and B1 at time t, stacked: (2, N, N) for a pair uniform in x,
+        (2, n, N, N) for one per point (`uniform`: see sample_potentials)."""
         # both samples in one assemble: its rows are computed independently
-        b = self.gens.assemble(np.array(sample_potentials(self.b0, self.b1, t, x, len(self.gens), uniform)))
-        return b[0], b[1]
+        return self.gens.assemble(np.array(sample_potentials(self.b0, self.b1, t, x, len(self.gens), uniform)))
+
+    @cached_property
+    def _coupling_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, T): coupling_matrix's 0, +-1 coefficient of each real coordinate
+        of a stacked uniform (B0, B1), and its mass terms, on float views."""
+        n = self.gens.dim
+        unit = np.eye(4 * n * n).view(complex).reshape(-1, 2, n, n)
+        return (coupling_matrix(unit[:, 0], unit[:, 1], 0.0).reshape(len(unit), -1).view(float),
+                coupling_matrix(*np.zeros((2, n, n)), self.mass).reshape(-1).view(float))
 
 
 def coupling_matrix(b0: np.ndarray, b1: np.ndarray, mass: float) -> np.ndarray:
@@ -195,15 +209,17 @@ def dirac_rhs(f: SpinorField, params: DiracParams, t: float) -> SpinorField:
     in f's representation: a spectral f takes only a pair uniform in x."""
     if f.dim != params.gens.dim:
         raise DimensionError("field and generator dimensions disagree")
-    c = coupling_matrix(*params.potential_matrices(t, f.grid.positions(), f.spectral or None), params.mass)
-    out = f.values @ c.T if c.ndim == 2 else np.einsum("pij,pj->pi", c, f.values)
-    d = spectral_derivative(f)
-    # signed in place: a field-sized temporary per call costs page faults
-    # on large grids
-    dv = d.values
+    b = params.potential_matrices(t, f.grid.positions(), f.spectral or None)
+    if b.ndim == 3:  # coupling_matrix's bits for finite B: each entry sums two terms
+        a, c = params._coupling_map
+        out = f.values @ (c + b.reshape(-1).view(float) @ a).view(complex).reshape(2 * f.dim, -1).T
+    else:
+        out = np.einsum("pij,pj->pi", coupling_matrix(b[0], b[1], params.mass), f.values)
+    # signed in place: a field-sized temporary costs page faults on large grids
+    dv = spectral_derivative(f).values
     dv *= f.grid.spinor_symbols(f.dim)[1]
     out += dv
-    return SpinorField(f.grid, f.dim, out, f.spectral)
+    return f._with(out, f.spectral)
 
 
 def rk2_step(f: SpinorField, params: DiracParams, t: float, dt: float) -> SpinorField:
@@ -214,21 +230,21 @@ def rk2_step(f: SpinorField, params: DiracParams, t: float, dt: float) -> Spinor
     k1 = dirac_rhs(f, params, t).values
     k1 *= 0.5 * dt
     k1 += f.values
-    k2 = dirac_rhs(SpinorField(f.grid, f.dim, k1, f.spectral), params, t + 0.5 * dt).values
+    k2 = dirac_rhs(f._with(k1, f.spectral), params, t + 0.5 * dt).values
     k2 *= dt
     k2 += f.values
-    return SpinorField(f.grid, f.dim, k2, f.spectral)
+    return f._with(k2, f.spectral)
 
 
-def u_plus(k: float, m: float) -> np.ndarray:
+def u_plus(k: float | np.ndarray, m: float) -> np.ndarray:
     """Positive-energy eigenvector of the plane-wave Hamiltonian
     H(k) = [[-k, m], [m, k]] on (psi^-, psi^+): (E - k, m) normalized,
-    E = sqrt(k^2 + m^2)."""
+    E = sqrt(k^2 + m^2); for an array k, one per entry along a last axis."""
     if m <= 0:
         raise ValueError("u_plus requires m > 0")
-    e = np.sqrt(k * k + m * m)
-    vec = np.array([e - k, m], dtype=complex)
-    return vec / np.linalg.norm(vec)
+    vec = np.stack(np.broadcast_arrays(np.sqrt(k * k + m * m) - k, m), axis=-1).astype(complex)
+    # each norm as np.linalg.norm takes a vector's: one dot of its real parts
+    return vec / np.sqrt(np.vecdot(vec.real, vec.real))[..., None]
 
 
 def gaussian_packet(k0: float, sigma: float, color: np.ndarray, grid: SpectralGrid,
@@ -244,14 +260,8 @@ def gaussian_packet(k0: float, sigma: float, color: np.ndarray, grid: SpectralGr
         warnings.warn("packet under-resolved: sigma * domain < 4*pi", stacklevel=2)
     ks = grid.wavenumbers()
     weights = np.exp(-((ks - k0) ** 2) / (2 * sigma * sigma))
-    coeffs = np.zeros((grid.n_points, 2 * dim), dtype=complex)
-    for i, k in enumerate(ks):
-        if weights[i] == 0.0:
-            continue
-        spin = u_plus(k, mass)
-        coeffs[i, :dim] = weights[i] * spin[0] * color
-        coeffs[i, dim:] = weights[i] * spin[1] * color
-    values = grid.synthesize(coeffs)
+    coeffs = (weights[:, None] * u_plus(ks, mass))[:, :, None] * color
+    values = grid.synthesize(coeffs.reshape(grid.n_points, 2 * dim))
     norm = np.sqrt(np.sum(np.abs(values) ** 2) * grid.dx)
     return SpinorField(grid, dim, values / norm)
 

@@ -1,6 +1,8 @@
 """Continuum reference solver: spectral grid, Dirac right-hand side, RK2
 time stepping, plane-wave spinors, Gaussian packets."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,23 @@ class TestPlaneWaveSpinors:
             dr.u_plus(1.0, 0.0)
 
 
+def reference_packet(k0, sigma, color, grid, mass):
+    """The packet summed mode by mode, each spinor (E - k, m) normalized by
+    np.linalg.norm, and modes of zero weight left out."""
+    color = np.asarray(color, dtype=complex)
+    color = color / np.linalg.norm(color)
+    ks = grid.wavenumbers()
+    weights = np.exp(-((ks - k0) ** 2) / (2 * sigma * sigma))
+    coeffs = np.zeros((grid.n_points, 2 * len(color)), dtype=complex)
+    for i, k in enumerate(ks):
+        if weights[i] != 0.0:
+            spin = np.array([np.sqrt(k * k + mass * mass) - k, mass], dtype=complex)
+            spin = spin / np.linalg.norm(spin)
+            coeffs[i] = np.concatenate((weights[i] * spin[0] * color, weights[i] * spin[1] * color))
+    values = grid.synthesize(coeffs)
+    return values / np.sqrt(np.sum(np.abs(values) ** 2) * grid.dx)
+
+
 class TestGaussianPacket:
     def test_unit_norm(self):
         grid = dr.SpectralGrid(256, -12.8, 0.1)
@@ -235,6 +254,32 @@ class TestGaussianPacket:
         # the packet-averaged velocity differs from vg(k0) by a spread
         # correction of order sigma^2 * vg''
         assert mean1 - mean0 == pytest.approx(vg * t_final, abs=0.06)
+
+    @pytest.mark.parametrize("grid_of", ["sweep", "criterion-06", "walk"])
+    def test_paper_packets_equal_the_mode_by_mode_sum(self, grid_of):
+        cfg = {"sweep": ex.ExperimentConfig(experiment="convergence", x_max=30.0, t_max=10.0),
+               "criterion-06": ex.ExperimentConfig(experiment="convergence", x_max=100.0, t_max=50.0),
+               "walk": ex.ExperimentConfig(experiment="trajectory", epsilons=(0.025,), x_max=35.0,
+                                           t_max=20.0, k0=1.0)}[grid_of]
+        for eps in cfg.epsilons:
+            p_max, steps = cfg.lattice_size(eps)
+            grid = dr.SpectralGrid.from_lattice(lat.LatticeSpec(eps, p_max, steps + 2))
+            args = (cfg.k0, cfg.sigma, np.ones(2) / np.sqrt(2), grid, cfg.mass)
+            assert dr.gaussian_packet(*args).values.tobytes() == reference_packet(*args).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(8, 300), st.sampled_from([1, 2, 3]), st.floats(-4, 4), st.floats(0.2, 5),
+           st.floats(0.01, 3), st.integers(0, 10_000))
+    def test_packet_equals_the_mode_by_mode_sum(self, n_points, dim, k0, sigma, mass, seed):
+        rng = np.random.default_rng(seed)
+        color = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        grid = dr.SpectralGrid(n_points, -0.05 * n_points, rng.uniform(0.01, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # under-resolved packets are compared too
+            got = dr.gaussian_packet(k0, sigma, color, grid, mass)
+        assert np.array_equal(got.values, reference_packet(k0, sigma, color, grid, mass))
+        ks = grid.wavenumbers()
+        assert np.array_equal(dr.u_plus(ks, mass), np.array([dr.u_plus(k, mass) for k in ks]))
 
     def test_under_resolved_warns(self):
         grid = dr.SpectralGrid(16, -0.8, 0.1)  # length 1.6, sigma*L < 4 pi
@@ -665,6 +710,22 @@ class TestLeanKernels:
         # equal to assembling the broadcast coordinates
         want = gens.assemble(np.array(np.broadcast_arrays(c0, c1)))
         assert np.array_equal(b0, want[0]) and np.array_equal(b1, want[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(grids_and_fields(), st.sampled_from([0.0, 0.3]), st.sampled_from(["uniform", "per-point"]),
+           st.sampled_from([0.05, 0.002]))
+    def test_rk2_step_is_the_midpoint_rule_of_the_broadcast_formula(self, case, mass, kind, dt):
+        dim, f, seed = case
+        params = random_uniform_params(dim, seed, mass)
+        if kind == "per-point":
+            f = f.to_physical()
+            params = broadcast_params(params, f.grid.n_points)
+        k1 = reference_rhs(f, params, 0.37)
+        half = dr.SpinorField(f.grid, dim, f.values + 0.5 * dt * k1, f.spectral)
+        want = f.values + dt * reference_rhs(half, params, 0.37 + 0.5 * dt)
+        got = dr.rk2_step(f, params, 0.37, dt)
+        assert got.spectral == f.spectral and got.grid is f.grid and got.dim == dim
+        assert np.array_equal(got.values, want)
 
     def test_spinor_symbols_are_cached_read_only_and_per_grid_and_dim(self):
         grids = [dr.SpectralGrid(32, -8.0, 0.5), dr.SpectralGrid(32, -8.0, 0.5),

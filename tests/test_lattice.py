@@ -301,6 +301,77 @@ class TestSamplePotentials:
         assert c0.dtype == float and np.array_equal(c0, np.arange(4.0))
 
 
+def _later_per_point(t, x):
+    """Uniform in x at t = 0, one row per point from t = 0.25 on."""
+    return np.outer(np.cos(x), [0.0, 1.0, 0.5, 0.0]) if t > 0.25 else np.zeros(4)
+
+
+# (member, as in _pair; its sample at t = 0.5; exception; message) of each
+# refusal of a uniform pair's sample
+_REFUSED = {
+    **{f"{v}-in-{('b0', 'b1', 'both')[i]}": (i, np.array([0.0, v, 1.0, 2.0]), ValueError,
+                                            r"non-finite potential sample at t=0\.5")
+       for v in (np.nan, np.inf, -np.inf) for i in (0, 1, 2)},
+    "imaginary": (1, np.array([0.0, 1j, 0.0, 0.0]), ValueError,
+                  r"potential sample at t=0\.5 has a nonzero imaginary part"),
+    "shape": (1, np.zeros(5), un.DimensionError, r"potential sample at t=0\.5 has shapes \(4,\) and \(5,\): "
+              r"each must be \(4,\), as the pair is uniform in x"),
+    "per-point-later": (1, _later_per_point, un.DimensionError,
+                        r"potential sample at t=0\.5 has shapes \(4,\) and \({n}, 4\): "
+                        r"each must be \(4,\), as the pair is uniform in x"),
+}
+
+# samples the checks accept, and the float values they read them as
+_ACCEPTED = {
+    "integer": (np.array([1, -2, 3, 0]), np.array([1.0, -2.0, 3.0, 0.0])),
+    "zero-imaginary": (np.arange(4) + 0j, np.arange(4.0)),
+    "squares-overflow": (np.array([1e200, -3e200, 2e200, 0.0]), np.array([1e200, -3e200, 2e200, 0.0])),
+}
+
+
+def _pair(which, sample):
+    """The sample as b0 (which = 0), b1 (1) or both (2), beside a finite float b1 or b0."""
+    fn = sample if callable(sample) else (lambda t, x: sample)
+    ok = lambda t, x: np.array([0.1, 0.0, -0.2, 0.3])
+    return {0: (fn, ok), 1: (ok, fn), 2: (fn, fn)}[which]
+
+
+class TestTheCommonSample:
+    """Two finite float (count,) samples, the common sample of a uniform
+    pair, take one test; every other sample meets the same checks, with the
+    same exception and message, as before that test existed, and no
+    floating-point warning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(_REFUSED))
+    def test_a_refusal_is_worded_by_the_checks(self, case):
+        which, sample, error, message = _REFUSED[case]
+        x = small_spec().positions()
+        with pytest.raises(error, match="^" + message.format(n=len(x)) + "$"):
+            lat.sample_potentials(*_pair(which, sample), 0.5, x, 4, uniform=True)
+        grid = dr.SpectralGrid(16, -4.0, 0.5)
+        f = dr.SpinorField(grid, 2, np.ones((16, 4)), spectral=True)
+        params = dr.DiracParams(0.3, *_pair(which, sample), un.generators_u(2))
+        with pytest.raises(error, match="^" + message.format(n=16) + "$"):
+            dr.dirac_rhs(f, params, 0.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    @pytest.mark.parametrize("case", sorted(_ACCEPTED))
+    def test_other_samples_are_read_as_floats(self, case, which):
+        sample, floats = _ACCEPTED[case]
+        x = small_spec().positions()
+        for uniform in (True, None):
+            pair = lat.sample_potentials(*_pair(which, sample), 0.5, x, 4, uniform=uniform)
+            for c in pair if which == 2 else pair[which : which + 1]:
+                assert c.dtype == float and np.array_equal(c, floats)
+        grid = dr.SpectralGrid(16, -4.0, 0.5)
+        f = dr.SpinorField(grid, 2, np.ones((16, 4)), spectral=True)
+        got, want = (dr.dirac_rhs(f, dr.DiracParams(0.3, *_pair(which, s), un.generators_u(2)), 0.5)
+                     for s in (sample, floats))
+        assert np.all(np.isfinite(got.values)) and np.array_equal(got.values, want.values)
+
+
 class TestOnePotentialKind:
     """A pair's kind is fixed by its t = 0 sample: uniform in x when both
     samples are (count,), per point otherwise.  Every reader refuses a
