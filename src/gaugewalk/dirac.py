@@ -320,6 +320,6 @@ def solve(initial: SpinorField, params: DiracParams, t_max: float, dt: float) ->
         h = min(dt, t_max - t)
         f = rk2_step(f, params, t, h)
         t += h
-        if not np.isfinite(f.values).all():
+        if np.count_nonzero(np.isfinite(f.values)) < f.values.size:  # cheaper per step than .all()
             raise NumericalAbort(t)
     return _padded(f, initial.grid).to_physical()
