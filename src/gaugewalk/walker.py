@@ -1,5 +1,6 @@
-"""The 2N-component discrete-time quantum walk: coin, evolution, gauge
-transformation of states, probability accounting."""
+"""The 2N-component discrete-time quantum walk: coin (and its real form for
+x-uniform steps), evolution, gauge transformation of states, probability
+accounting."""
 
 from __future__ import annotations
 
@@ -110,6 +111,27 @@ def _mixer(theta: float, dim: int) -> np.ndarray:
     return b
 
 
+@functools.lru_cache(maxsize=8)
+def _coin_map(theta: float, dim: int) -> np.ndarray:
+    """Read-only (4N^2, 16N^2) map, of 0, +-cos(theta) and +-sin(theta), from
+    the float view of the links (P, Q) to R, the interleaved real form of
+    B(theta, P, Q) transposed: row i is R for the links whose view is unit i."""
+    units = np.eye(4 * dim * dim).view(complex).reshape(-1, 2, dim, dim)
+    b = np.array([coin_matrix(theta, p, q).T for p, q in units])
+    # row 2l of R is row l of B^T as floats, row 2l + 1 that of i B^T
+    m = np.stack((b, 1j * b), axis=2).view(float).reshape(len(units), -1)
+    m.setflags(write=False)
+    return m
+
+
+def _real_coin(theta: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """R with v.view(float) @ R == (v @ B(theta, P, Q).T).view(float).  Each
+    entry is one link coordinate times one map entry, so R is the real form
+    of coin_matrix(theta, P, Q).T bit for bit."""
+    n = len(p)
+    return (np.array((p, q)).view(float).ravel() @ _coin_map(theta, n)).reshape(4 * n, 4 * n)
+
+
 def _same_space(a: LatticeSpec, b: LatticeSpec) -> bool:
     """Same sites: a state is valid on any time extent with its spacing."""
     return a.epsilon == b.epsilon and a.p_max == b.p_max
@@ -120,13 +142,14 @@ def step(state: WalkState, field: GaugeField, config: WalkConfig) -> WalkState:
     the coin with P, Q taken at the destination site (j, p).
 
     When both links of slice j are uniform in x, every site has the same
-    coin B(theta, P, Q) (see coin_matrix), and the step is one product of
-    the shifted (n_sites, 2N) rows with B transposed.  That is the per-site
-    formula with its scalars moved inside, c (P psi) -> (c P) psi, so the
-    two paths agree to rounding (~1e-15).  A slice that varies in x takes
-    B(theta, P, Q) = B(theta, 1, 1) diag(P, Q): P psi^- and Q psi^+ at every
-    site, written into one array, then one product of its rows with
-    B(theta, 1, 1) transposed."""
+    coin B(theta, P, Q) (see coin_matrix), and the step is one real product
+    of the shifted rows' float view, (n_sites, 4N), with R = _real_coin, the
+    interleaved real form of B transposed, entry for entry coin_matrix's.
+    That is the per-site formula with its scalars moved inside,
+    c (P psi) -> (c P) psi, so the two paths agree to rounding (~1e-15).
+    A slice that varies in x takes B(theta, P, Q) = B(theta, 1, 1) diag(P, Q):
+    P psi^- and Q psi^+ at every site, written into one array, then one
+    product of its rows with B(theta, 1, 1) transposed."""
     if state.dim != field.dim or state.dim != config.dim:
         raise DimensionError("state, field and config dimensions disagree")
     if not _same_space(state.spec, field.spec):
@@ -138,7 +161,7 @@ def step(state: WalkState, field: GaugeField, config: WalkConfig) -> WalkState:
     index, buf = _shift_index(len(amps), n, threading.get_ident())
     shifted = amps.ravel().take(index, out=buf, mode="wrap").reshape(amps.shape)
     if uniform_in_x(p) and uniform_in_x(q):
-        out = shifted @ coin_matrix(config.theta, p[0], q[0]).T
+        out = (shifted.view(float) @ _real_coin(config.theta, p[0], q[0])).view(complex)
     else:
         # the output is allocated after rot, so rot is freed below a live array;
         # freed at the heap top it was trimmed and faulted back in on every step

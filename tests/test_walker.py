@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugewalk import experiments as ex
+from gaugewalk import io as gio
 from gaugewalk import lattice as lat
 from gaugewalk import unitary as un
 from gaugewalk import walker as wk
@@ -246,6 +247,59 @@ class TestUniformPath:
         state = random_state(spec, dim, seed + 1, j=3)
         got = wk.step(state, field, wk.WalkConfig(dim, theta))
         assert np.array_equal(got.amplitudes, _per_site_formula(state, field.P(3), field.Q(3), theta))
+
+
+def real_form(m):
+    """The interleaved real form of a complex matrix M, written entry by entry:
+    v.view(float) @ real_form(M) == (v @ M).view(float)."""
+    k = len(m)
+    r = np.empty((k, 2, k, 2))
+    r[:, 0, :, 0], r[:, 0, :, 1] = m.real, m.imag
+    r[:, 1, :, 0], r[:, 1, :, 1] = -m.imag, m.real
+    return r.reshape(2 * k, 2 * k)
+
+
+def reference_uniform_step(state, field, theta):
+    """The x-uniform step as one complex product of the shifted rows with
+    coin_matrix(theta, P, Q) transposed: the reference the step's real
+    product is held to."""
+    n, amps = state.dim, state.amplitudes
+    p, q = field.P(state.j), field.Q(state.j)
+    assert lat.uniform_in_x(p) and lat.uniform_in_x(q)
+    shifted = np.concatenate((np.roll(amps[:, :n], -1, axis=0), np.roll(amps[:, n:], 1, axis=0)), axis=1)
+    return wk.WalkState(state.spec, n, state.j + 1, shifted @ wk.coin_matrix(theta, p[0], q[0]).T)
+
+
+# theta = -eps * m of the paper runs: the convergence legs and the walk's eps, m = 0.1
+PAPER_THETAS = [wk.WalkConfig.from_mass(2, 0.1, eps).theta for eps in (0.4, 0.2, 0.1, 0.05, 0.025)]
+REAL_COIN_THETAS = [0.0, np.pi / 2, -np.pi / 2, *PAPER_THETAS, 2.0878, -0.6133]
+
+
+class TestRealCoin:
+    @pytest.mark.parametrize("theta", REAL_COIN_THETAS)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_real_coin_is_the_real_form_of_the_coin_bit_for_bit(self, dim, theta):
+        spec = lat.LatticeSpec(0.1, 20, 4)
+        rng = np.random.default_rng([dim, len(PAPER_THETAS)])
+        for seed in range(5):
+            p, q = (np.broadcast_to(random_unitary(dim, rng), (spec.n_sites, dim, dim)) for _ in range(2))
+            field = constant_field(spec, p, q)
+            r = wk._real_coin(theta, field.P(2)[0], field.Q(2)[0])
+            assert np.array_equal(r, real_form(wk.coin_matrix(theta, p[0], q[0]).T))
+            state = random_state(spec, dim, seed, j=2)
+            got = wk.step(state, field, wk.WalkConfig(dim, theta)).amplitudes
+            shifted = reference_uniform_step(state, lat.GaugeField.identity(spec, dim), 0.0).amplitudes
+            assert np.array_equal(got, (shifted.view(float) @ r).view(complex))
+            want = reference_uniform_step(state, field, theta).amplitudes
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(state.amplitudes))
+
+    def test_the_coin_map_is_read_only_and_holds_only_cos_and_sin(self):
+        theta = PAPER_THETAS[0]
+        m = wk._coin_map(theta, 2)
+        assert m.shape == (16, 64) and not m.flags.writeable
+        assert set(np.abs(m).ravel()) == {0.0, np.cos(theta), np.abs(np.sin(theta))}
+        # one nonzero entry per entry of R, so each entry of R is a single product
+        assert np.array_equal(np.count_nonzero(m, axis=0), np.ones(64))
 
 
 class TestEvolve:
@@ -553,6 +607,50 @@ def test_a_walk_resumed_on_a_fresh_per_site_field_equals_the_straight_walk(p_max
     straight = wk.evolve(start, make(), cfg, first + then)
     resumed = wk.evolve(wk.evolve(start, make(), cfg, first), make(), cfg, then)
     assert resumed.j == straight.j == first + then
+    assert np.array_equal(resumed.amplitudes, straight.amplitudes)
+
+
+def _walk_workload_evolve():
+    """The benchmark's evolve: _electric_walk on 2801 sites, 800 steps."""
+    cfg = ex.ExperimentConfig(experiment="evolve", epsilons=(0.025,), e_ym=0.05, sigma=0.5, k0=1.0,
+                              x_max=35.0, t_max=20.0)
+    return lambda: ex._electric_walk(cfg, cfg.epsilon)
+
+
+def _assert_near_the_complex_product_walk(start, field, config, steps):
+    want = start
+    for _ in range(steps):
+        want = reference_uniform_step(want, field, config.theta)
+    got = wk.evolve(start, field, config, steps)
+    assert got.j == want.j == start.j + steps
+    assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-13 * np.max(np.abs(want.amplitudes))
+    assert abs(wk.total_probability(got) - wk.total_probability(start)) <= 1e-12
+
+
+def test_the_benchmark_evolve_stays_at_the_complex_product_walk():
+    _, field, _, state, config, steps = _walk_workload_evolve()()
+    assert (state.spec.n_sites, steps) == (2801, 800)
+    _assert_near_the_complex_product_walk(state, field, config, steps)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_a_long_uniform_walk_stays_at_the_complex_product_walk(dim):
+    spec = lat.LatticeSpec(0.02, 300, 1000)
+    field = _uniform_field(spec, dim, seed=dim)
+    assert lat.uniform_in_x(field.P(0)) and lat.uniform_in_x(field.Q(0))
+    _assert_near_the_complex_product_walk(random_state(spec, dim, seed=dim), field, wk.WalkConfig(dim, -0.3), 1000)
+
+
+def test_an_x_uniform_walk_resumed_from_a_checkpoint_equals_the_straight_walk(tmp_path):
+    # resumed at j = 45, the walk builds its runs from slice 45 on a fresh field
+    make = _walk_workload_evolve()
+    _, field, _, start, config, steps = make()
+    assert lat.uniform_in_x(field.P(0)) and lat.uniform_in_x(field.Q(0))
+    straight = wk.evolve(start, field, config, steps)
+    path = tmp_path / "mid.ckpt"
+    gio.write_checkpoint(path, wk.evolve(start, make()[1], config, 45))
+    resumed = wk.evolve(gio.read_checkpoint(path), make()[1], config, steps - 45)
+    assert resumed.j == straight.j == steps
     assert np.array_equal(resumed.amplitudes, straight.amplitudes)
 
 
