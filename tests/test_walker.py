@@ -259,15 +259,20 @@ def real_form(m):
     return r.reshape(2 * k, 2 * k)
 
 
+def shifted_rows(state):
+    """psi^- from site p + 1 and psi^+ from site p - 1, periodic."""
+    n, amps = state.dim, state.amplitudes
+    return np.concatenate((np.roll(amps[:, :n], -1, axis=0), np.roll(amps[:, n:], 1, axis=0)), axis=1)
+
+
 def reference_uniform_step(state, field, theta):
     """The x-uniform step as one complex product of the shifted rows with
     coin_matrix(theta, P, Q) transposed: the reference the step's real
     product is held to."""
-    n, amps = state.dim, state.amplitudes
     p, q = field.P(state.j), field.Q(state.j)
     assert lat.uniform_in_x(p) and lat.uniform_in_x(q)
-    shifted = np.concatenate((np.roll(amps[:, :n], -1, axis=0), np.roll(amps[:, n:], 1, axis=0)), axis=1)
-    return wk.WalkState(state.spec, n, state.j + 1, shifted @ wk.coin_matrix(theta, p[0], q[0]).T)
+    out = shifted_rows(state) @ wk.coin_matrix(theta, p[0], q[0]).T
+    return wk.WalkState(state.spec, state.dim, state.j + 1, out)
 
 
 # theta = -eps * m of the paper runs: the convergence legs and the walk's eps, m = 0.1
@@ -280,7 +285,7 @@ class TestRealCoin:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_real_coin_is_the_real_form_of_the_coin_bit_for_bit(self, dim, theta):
         spec = lat.LatticeSpec(0.1, 20, 4)
-        rng = np.random.default_rng([dim, len(PAPER_THETAS)])
+        rng = np.random.default_rng(dim)
         for seed in range(5):
             p, q = (np.broadcast_to(random_unitary(dim, rng), (spec.n_sites, dim, dim)) for _ in range(2))
             field = constant_field(spec, p, q)
@@ -288,8 +293,7 @@ class TestRealCoin:
             assert np.array_equal(r, real_form(wk.coin_matrix(theta, p[0], q[0]).T))
             state = random_state(spec, dim, seed, j=2)
             got = wk.step(state, field, wk.WalkConfig(dim, theta)).amplitudes
-            shifted = reference_uniform_step(state, lat.GaugeField.identity(spec, dim), 0.0).amplitudes
-            assert np.array_equal(got, (shifted.view(float) @ r).view(complex))
+            assert np.array_equal(got, (shifted_rows(state).view(float) @ r).view(complex))
             want = reference_uniform_step(state, field, theta).amplitudes
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(state.amplitudes))
 
