@@ -67,9 +67,10 @@ class LatticeSpec:
 
 
 def uniform_in_x(arr: np.ndarray) -> bool:
-    """Whether a slice of shape (n_sites, N, N) is uniform in x: one matrix
-    broadcast to every site, with stride 0 over sites."""
-    return arr.strides[0] == 0
+    """Whether a slice of shape (n_sites, N, N), or a stack of them such as
+    GaugeField.R's (2, n_sites, N, N), is uniform in x: one matrix (per
+    member) broadcast to every site, with stride 0 over sites."""
+    return arr.strides[-3] == 0
 
 
 def _check_links(links: np.ndarray, spec: LatticeSpec, j: int, kinds: str) -> None:
@@ -154,9 +155,10 @@ def _random_run(spec: LatticeSpec, dim: int, seed: int, tag: int, scale: float, 
 
 def _memo(spec: LatticeSpec, run, kinds: str, hi: int):
     """request(j, ahead): slice j, j in [0, hi], as one read-only
-    (n_sites, N, N) array per kind.  A hit is one dict lookup; a miss builds
-    the run run(j, ahead), clipped at hi, checks it and keeps its slices:
-    the memo holds the last SLICE_CACHE slices built."""
+    (n_sites, N, N) array per kind, then their kind-major stack (kinds,
+    n_sites, N, N), all views of the run's links.  A hit is one dict lookup;
+    a miss builds the run run(j, ahead), clipped at hi, checks it and keeps
+    its slices: the memo holds the last SLICE_CACHE slices built."""
     memo = {}
 
     def request(j, ahead):
@@ -171,7 +173,7 @@ def _memo(spec: LatticeSpec, run, kinds: str, hi: int):
         _check_links(links, spec, j, kinds)
         # a run uniform in x has one site: each slice is a stride-0 view of it
         links = np.broadcast_to(links, links.shape[:2] + (spec.n_sites,) + links.shape[3:])
-        built = [tuple(s) for s in links]
+        built = [(*s, s) for s in links]
         for k, slices in enumerate(built, j):
             memo.pop(k, None)  # a rebuilt slice counts as the newest
             memo[k] = slices
@@ -186,8 +188,10 @@ class GaugeField:
     """The discrete gauge potential R = (P, Q): one U(N) matrix pair per
     spacetime site.  run(j, count) builds slices j .. j + count - 1 as links
     of shape (count, 2, n_sites or 1, N, N), P then Q, one site for a run
-    uniform in x; each run gets one unitarity check per kind.  P(j, ahead)
-    and Q(j, ahead) are read-only, stride 0 over sites when uniform; a
+    uniform in x; each run gets one unitarity check per kind.  P(j, ahead),
+    Q(j, ahead) and R(j, ahead), the pair as one (2, n_sites, N, N) array
+    with R[0] = P and R[1] = Q, are read-only views of the run's links,
+    stride 0 over sites when uniform, and the same objects on every hit; a
     request that misses builds a run of `ahead` slices from j (see _memo)."""
 
     def __init__(self, spec: LatticeSpec, dim: int, run):
@@ -258,6 +262,9 @@ class GaugeField:
 
     def Q(self, j: int, ahead: int = 1) -> np.ndarray:
         return self._request(j, ahead)[1]
+
+    def R(self, j: int, ahead: int = 1) -> np.ndarray:
+        return self._request(j, ahead)[2]
 
 
 class GaugeTransformation:

@@ -49,8 +49,19 @@ class WalkState:
         amplitudes = np.ascontiguousarray(amplitudes, dtype=complex)
         if amplitudes.shape != (spec.n_sites, 2 * dim):
             raise DimensionError(f"amplitudes shape {amplitudes.shape}, expected {(spec.n_sites, 2 * dim)}")
+        self._hold(spec, dim, j, amplitudes)
+
+    @classmethod
+    def _made(cls, spec: LatticeSpec, dim: int, j: int, amplitudes: np.ndarray) -> "WalkState":
+        """The state of amplitudes a step has just made, C-contiguous complex
+        of shape (n_sites, 2N) by construction: only the finiteness test."""
+        state = cls.__new__(cls)
+        state._hold(spec, dim, j, amplitudes)
+        return state
+
+    def _hold(self, spec: LatticeSpec, dim: int, j: int, amplitudes: np.ndarray) -> None:
         # NaN or inf in either part of any entry fails on the float view
-        if not np.isfinite(amplitudes.view(float)).all():
+        if np.count_nonzero(np.isfinite(amplitudes.view(float))) < 2 * amplitudes.size:
             raise ValueError("non-finite amplitudes")
         self.spec = spec
         self.dim = dim
@@ -114,19 +125,19 @@ def _mixer(theta: float, dim: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _coin_map(theta: float, dim: int) -> np.ndarray:
     """Read-only (4N^2, 16N^2) map, of 0, +-cos(theta) and +-sin(theta), from
-    the float view of the links (P, Q) to R, the interleaved real form of
-    B(theta, P, Q) transposed: row i is R for the links whose view is unit i."""
+    the float view of the links (P, Q) to C, the interleaved real form of
+    B(theta, P, Q) transposed: row i is C for the links whose view is unit i."""
     units = np.eye(4 * dim * dim).view(complex).reshape(-1, 2, dim, dim)
     b = np.array([coin_matrix(theta, p, q).T for p, q in units])
-    # row 2l of R is row l of B^T as floats, row 2l + 1 that of i B^T
+    # row 2l of C is row l of B^T as floats, row 2l + 1 that of i B^T
     m = np.stack((b, 1j * b), axis=2).view(float).reshape(len(units), -1)
     m.setflags(write=False)
     return m
 
 
 def _real_coin(theta: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """R with v.view(float) @ R == (v @ B(theta, P, Q).T).view(float).  Each
-    entry is one link coordinate times one map entry, so R is the real form
+    """C with v.view(float) @ C == (v @ B(theta, P, Q).T).view(float).  Each
+    entry is one link coordinate times one map entry, so C is the real form
     of coin_matrix(theta, P, Q).T bit for bit."""
     n = len(p)
     return (np.array((p, q)).view(float).ravel() @ _coin_map(theta, n)).reshape(4 * n, 4 * n)
@@ -139,37 +150,39 @@ def _same_space(a: LatticeSpec, b: LatticeSpec) -> bool:
 
 def step(state: WalkState, field: GaugeField, config: WalkConfig) -> WalkState:
     """One walk step: shift (psi^- from p+1, psi^+ from p-1, periodic), then
-    the coin with P, Q taken at the destination site (j, p).
+    the coin with the pair R = (P, Q) = field.R(j) taken at the destination
+    site (j, p).
 
-    When both links of slice j are uniform in x, every site has the same
-    coin B(theta, P, Q) (see coin_matrix), and the step is one real product
-    of the shifted rows' float view, (n_sites, 4N), with R = _real_coin, the
-    interleaved real form of B transposed, entry for entry coin_matrix's.
+    When slice j is uniform in x (R's site stride is 0), every site has the
+    same coin B(theta, P, Q) (see coin_matrix), and the step is one real
+    product of the shifted rows' float view, (n_sites, 4N), with _real_coin,
+    the interleaved real form of B transposed, entry for entry coin_matrix's.
     That is the per-site formula with its scalars moved inside,
     c (P psi) -> (c P) psi, so the two paths agree to rounding (~1e-15).
     A slice that varies in x takes B(theta, P, Q) = B(theta, 1, 1) diag(P, Q):
-    P psi^- and Q psi^+ at every site, written into one array, then one
-    product of its rows with B(theta, 1, 1) transposed."""
+    one stacked product of R with the blocks (psi^-, psi^+) writes P psi^- and
+    Q psi^+ at every site into one array, then one product of its rows with
+    B(theta, 1, 1) transposed mixes them."""
     if state.dim != field.dim or state.dim != config.dim:
         raise DimensionError("state, field and config dimensions disagree")
     if not _same_space(state.spec, field.spec):
         raise DimensionError("state and field lattices disagree")
     n, amps = state.dim, state.amplitudes
-    p, q = field.P(state.j), field.Q(state.j)
+    r = field.R(state.j)
     # the links come first, since a build may run outside code; mode="wrap" (every
     # index is in range) lets take fill buf without a buffer of its own
     index, buf = _shift_index(len(amps), n, threading.get_ident())
     shifted = amps.ravel().take(index, out=buf, mode="wrap").reshape(amps.shape)
-    if uniform_in_x(p) and uniform_in_x(q):
-        out = (shifted.view(float) @ _real_coin(config.theta, p[0], q[0])).view(complex)
+    if uniform_in_x(r):
+        out = (shifted.view(float) @ _real_coin(config.theta, r[0, 0], r[1, 0])).view(complex)
     else:
         # the output is allocated after rot, so rot is freed below a live array;
         # freed at the heap top it was trimmed and faulted back in on every step
         rot = np.empty((len(amps), 2, n, 1), dtype=complex)
-        np.matmul(p, shifted[:, :n, None], out=rot[:, 0])
-        np.matmul(q, shifted[:, n:, None], out=rot[:, 1])
+        # (P, Q) times (psi^-, psi^+), kind-major, into rot's site-major blocks
+        np.matmul(r, shifted.reshape(len(amps), 2, n).swapaxes(0, 1)[..., None], out=rot.swapaxes(0, 1))
         out = rot.reshape(len(amps), 2 * n) @ _mixer(config.theta, n)
-    return WalkState(state.spec, state.dim, state.j + 1, out)
+    return WalkState._made(state.spec, state.dim, state.j + 1, out)
 
 
 def walk(state: WalkState, field: GaugeField, config: WalkConfig, steps: int):

@@ -746,6 +746,75 @@ class TestRuns:
         field.P(6)
 
 
+class TestLinkPair:
+    """R(j) = (P, Q) as one kind-major (2, n_sites, N, N) array: the view of
+    the run's links that the memo keeps beside P and Q."""
+
+    DIMS = [1, 2, 3, 4]
+    SOURCES = list(field_sources(small_spec(), 1))
+    UNIFORM = {"uniform arrays", "identity", "uniform potentials"}
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_r_is_p_then_q_bit_for_bit(self, dim, source):
+        spec = small_spec(p_max=3, j_max=lat.RUN + 9)
+        field = field_sources(spec, dim, seed=dim)[source]()
+        field.P(0, lat.RUN)
+        for j in (0, 1, lat.RUN - 1, lat.RUN, spec.j_max):
+            r = field.R(j)
+            assert r.shape == (2, spec.n_sites, dim, dim)
+            assert np.array_equal(r[0], field.P(j)) and np.array_equal(r[1], field.Q(j))
+            assert not r.flags.writeable
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_a_hit_returns_the_same_objects(self, dim, source):
+        spec = small_spec(p_max=3, j_max=12)
+        field = field_sources(spec, dim, seed=dim)[source]()
+        first = field.R(4), field.P(4), field.Q(4)
+        again = field.R(4), field.P(4, 3), field.Q(4, lat.RUN)
+        assert all(a is b for a, b in zip(first, again))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_the_site_stride_is_0_exactly_when_the_slice_is_uniform(self, dim, source):
+        spec = small_spec(p_max=3, j_max=12)
+        field = field_sources(spec, dim, seed=dim)[source]()
+        for j in (0, 7):
+            r = field.R(j)
+            uniform = lat.uniform_in_x(field.P(j)) and lat.uniform_in_x(field.Q(j))
+            assert (r.strides[1] == 0) == lat.uniform_in_x(r) == uniform == (source in self.UNIFORM)
+
+    def test_one_uniform_link_of_a_pair_leaves_r_per_site(self):
+        spec = small_spec()
+        rng = np.random.default_rng(5)
+        one = np.broadcast_to(un.exp_map(rng.standard_normal(4), un.generators_u(2)), (spec.n_sites, 2, 2))
+        sites = un.exp_map(rng.standard_normal((spec.n_sites, 4)), un.generators_u(2))
+        for p, q in ((one, sites), (sites, one)):
+            r = constant_field(spec, p, q).R(2)
+            assert not lat.uniform_in_x(r)
+            assert np.array_equal(r[0], p) and np.array_equal(r[1], q)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_r_ahead_builds_a_run_as_p_does(self, monkeypatch, dim):
+        spec = small_spec(p_max=3, j_max=12)
+        via_r, via_p = (lat.GaugeField.random(spec, dim, seed=1) for _ in range(2))
+        runs = exp_map_runs(monkeypatch)
+        via_r.R(2, 5)
+        via_p.P(2, 5)
+        assert runs == [5, 5]
+        for j in range(2, 7):
+            assert np.array_equal(via_r.R(j), via_p.R(j, lat.RUN))
+        assert runs == [5, 5]  # the requests found their slices built
+        via_r.R(spec.j_max - 2, lat.RUN)
+        assert runs == [5, 5, 3]  # clipped at j_max
+        with pytest.raises(lat.SiteRangeError, match=rf"^time index {spec.j_max + 1} outside \[0, {spec.j_max}\]$"):
+            via_r.R(spec.j_max + 1, 2)
+        with pytest.raises(ValueError, match="^ahead must be >= 1, got 0$"):
+            via_r.R(0, 0)
+        assert runs == [5, 5, 3]
+
+
 class TestGaugeTransformation:
     def test_identity_transform_fixes_field(self):
         spec = small_spec()

@@ -249,6 +249,60 @@ class TestUniformPath:
         assert np.array_equal(got.amplitudes, _per_site_formula(state, field.P(3), field.Q(3), theta))
 
 
+def _strided_run(dim, spec, layout, seed):
+    """A run builder whose per-site links (count, 2, n_sites, N, N) are a
+    view that is not C-contiguous, laid out as `layout` says."""
+    gens = un.generators_u(dim)
+    rng = np.random.default_rng(seed)
+
+    def run(j, count):
+        z = rng.standard_normal((count, 2, spec.n_sites, len(gens)))
+        links = un.exp_map(z, gens)
+        if layout == "site-major":  # sites before kinds in memory
+            return np.ascontiguousarray(links.swapaxes(1, 2)).swapaxes(1, 2)
+        if layout == "transposed":  # each matrix stored as its transpose
+            return np.ascontiguousarray(links.mT).mT
+        wide = np.empty((count, 2, 2 * spec.n_sites, dim, dim), dtype=complex)  # every other site
+        wide[:, :, ::2] = links
+        return wide[:, :, ::2]
+
+    return run
+
+
+class TestLinkPairStep:
+    """The per-site step multiplies R = (P, Q) by the shifted blocks in one
+    call, writing through a strided view of its rotated blocks."""
+
+    # a 1 x 1 matrix is the same stored either way
+    @pytest.mark.parametrize("dim, layout", [(dim, layout) for dim in (1, 2, 3, 4)
+                                             for layout in ("site-major", "transposed", "every other site")
+                                             if (dim, layout) != (1, "transposed")])
+    def test_a_step_on_links_that_are_not_contiguous_is_the_per_site_formula(self, dim, layout):
+        spec = lat.LatticeSpec(0.1, 6, 5)
+        field = lat.GaugeField(spec, dim, _strided_run(dim, spec, layout, seed=dim))
+        r = field.R(2)
+        assert not r.flags.c_contiguous and not lat.uniform_in_x(r)
+        for theta in (0.0, 0.37, -np.pi / 2):
+            state = random_state(spec, dim, seed=dim, j=2)
+            got = wk.step(state, field, wk.WalkConfig(dim, theta))
+            assert got.j == 3 and got.amplitudes.flags.c_contiguous
+            assert np.array_equal(got.amplitudes, _per_site_formula(state, field.P(2), field.Q(2), theta))
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_a_step_whose_product_overflows_is_refused(self, dim, uniform):
+        # at theta = pi/4 on identity links, psi^- = a and psi^+ = -i a make
+        # (cos + sin) a = 1.41 a in the psi^- block: inf for finite a = 1.5e308
+        spec = lat.LatticeSpec(0.1, 4, 6)
+        eyes = np.broadcast_to(np.eye(dim, dtype=complex), (spec.n_sites, dim, dim))
+        field = constant_field(spec, *((eyes, eyes) if uniform else (eyes.copy(), eyes.copy())))
+        assert lat.uniform_in_x(field.R(0)) == uniform
+        a = np.full((spec.n_sites, dim), 1.5e308, dtype=complex)
+        state = wk.WalkState(spec, dim, 0, np.hstack((a, -1j * a)))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="^non-finite amplitudes$"):
+            wk.step(state, field, wk.WalkConfig(dim, np.pi / 4))
+
+
 def real_form(m):
     """The interleaved real form of a complex matrix M, written entry by entry:
     v.view(float) @ real_form(M) == (v @ M).view(float)."""
