@@ -296,17 +296,15 @@ def gauge_check_residuals(dim: int, spec: lattice.LatticeSpec, seed: int, steps:
     expected = walker.gauge_transform_state(plain, g)
     square = float(np.max(np.abs(primed.amplitudes - expected.amplitudes)))
 
-    covariance = 0.0
-    factorization = 0.0
-    # every site of 8 random slices
-    for j in map(int, rng.integers(1, spec.j_max, size=8)):
-        f_plain = lattice.curvature_slice(field_, j)
-        f_primed = lattice.curvature_slice(field_t, j)
-        conj = lattice.curvature_gauge_conjugator(g, j)
-        covariance = max(covariance, float(np.max(np.abs(f_primed - conj @ f_plain @ conj.conj().mT))))
-        resid, branch = lattice.curvature_factorization_check(field_, j)
-        if not branch:
-            factorization = max(factorization, resid)
+    # every site of 8 random slices, as one stack; F of the plain field is
+    # computed once, for both checks, and a sample on the branch cut is skipped
+    js = rng.integers(1, spec.j_max, size=8).tolist()
+    f_plain = lattice.curvature_slice(field_, js)
+    f_primed = lattice.curvature_slice(field_t, js)
+    conj = lattice.curvature_gauge_conjugator(g, js)
+    covariance = float(np.max(np.abs(f_primed - conj @ f_plain @ conj.conj().mT)))
+    resid, branch = lattice.curvature_factorization_check(field_, js, f_plain)
+    factorization = float(np.max(resid[~branch], initial=0.0))
 
     drift = abs(walker.total_probability(plain) - walker.total_probability(psi))
     return {

@@ -325,31 +325,37 @@ def holonomy_u(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def holonomy_v(q: np.ndarray, p_prev: np.ndarray) -> np.ndarray:
     """V_{j,p} = Q_{j,p} P_{j-1,p-1} at every site, from Q on slice j and P
-    on slice j-1."""
-    return q @ p_prev[_neighbours(len(p_prev))[1]]
+    on slice j-1; leading stack axes, before the site axis, pass through."""
+    return q @ p_prev[..., _neighbours(p_prev.shape[-3])[1], :, :]
 
 
-def _around(field_: GaugeField, j: int) -> list:
-    """(P, Q) on slices j-1, j, j+1, the slices a curvature at j reads."""
-    if not 1 <= j <= field_.spec.j_max - 1:
-        raise SiteRangeError(f"curvature needs slices j-1..j+1; j={j} out of range")
-    field_.P(j - 1, 3)  # a miss builds the three slices as one run
-    return [(field_.P(k), field_.Q(k)) for k in (j - 1, j, j + 1)]
+def _around(field_: GaugeField, j) -> np.ndarray:
+    """(P, Q) on slices j-1, j, j+1, which a curvature at j reads, as one (3, 2, n_sites, N, N)
+    array, [k] on slice j - 1 + k; around each j of a sequence, (3, 2, len(j), n_sites, N, N)."""
+    pq = []
+    for i in np.atleast_1d(j).tolist():
+        if not 1 <= i <= field_.spec.j_max - 1:
+            raise SiteRangeError(f"curvature needs slices j-1..j+1; j={i} out of range")
+        field_.P(i - 1, 3)  # a miss builds the three slices as one run
+        pq.append([(field_.P(k), field_.Q(k)) for k in (i - 1, i, i + 1)])
+    pq = np.moveaxis(np.array(pq), 0, 2)
+    return pq if np.ndim(j) else pq[:, :, 0]
 
 
 def _curvature(pq) -> np.ndarray:
     """F_{j,p} = U†_{j-1,p} V†_{j,p-1} U_{j+1,p} V_{j,p+1} for every p, from
-    pq[k] = (P, Q) on slices j-1, j, j+1 (k = 0, 1, 2)."""
+    pq[k] = (P, Q) on slices j-1, j, j+1 (k = 0, 1, 2), stacks or not."""
     (p_prev, q_prev), (_, q_here), (p_next, q_next) = pq
     u_prev = holonomy_u(p_prev, q_prev)
     u_next = holonomy_u(p_next, q_next)
     v_here = holonomy_v(q_here, p_prev)
-    right, left = _neighbours(len(v_here))  # V_{j,p+1} is v_here[right], V_{j,p-1} v_here[left]
-    return u_prev.conj().mT @ v_here[left].conj().mT @ u_next @ v_here[right]
+    right, left = _neighbours(v_here.shape[-3])  # V_{j,p+1} is v_here at right, V_{j,p-1} at left
+    return u_prev.conj().mT @ v_here[..., left, :, :].conj().mT @ u_next @ v_here[..., right, :, :]
 
 
-def curvature_slice(field_: GaugeField, j: int) -> np.ndarray:
-    """The curvature F_{j,p} at every site p of slice j."""
+def curvature_slice(field_: GaugeField, j) -> np.ndarray:
+    """The curvature F_{j,p} at every site p of slice j; for a sequence of
+    slices, one stack of them."""
     return _curvature(_around(field_, j))
 
 
@@ -358,13 +364,15 @@ def discrete_curvature(field_: GaugeField, j: int, p: int) -> np.ndarray:
     return curvature_slice(field_, j)[field_.spec.site_index(p)]
 
 
-def curvature_gauge_conjugator(g: GaugeTransformation, j: int) -> np.ndarray:
+def curvature_gauge_conjugator(g: GaugeTransformation, j) -> np.ndarray:
     """G_{j-1,p+1} at the index of every site p of slice j, the matrices
     conjugating the curvature under a gauge change:
-    F'_{j,p} = G_{j-1,p+1} F_{j,p} G^-1_{j-1,p+1}."""
-    if j < 1:
+    F'_{j,p} = G_{j-1,p+1} F_{j,p} G^-1_{j-1,p+1}; for a sequence of slices, one stack."""
+    js = np.atleast_1d(j).tolist()
+    if min(js) < 1:
         raise SiteRangeError("conjugator needs slice j-1")
-    return g.G(j - 1)[_neighbours(g.spec.n_sites)[0]]
+    c = np.array([g.G(i - 1) for i in js])[..., _neighbours(g.spec.n_sites)[0], :, :]
+    return c if np.ndim(j) else c[0]
 
 
 def continuous_curvature(b0, b1, gens: GeneratorSet, t: float, x: float) -> np.ndarray:
@@ -432,12 +440,16 @@ def abelian_discrete_curvature(y: AbelianPotential, j: int) -> tuple[np.ndarray,
     return f_here, np.exp(2j * (f_here + f_back))
 
 
-def curvature_factorization_check(field_: GaugeField, j: int) -> tuple[float, bool]:
+def curvature_factorization_check(field_: GaugeField, j, curvature=None) -> tuple:
     """Largest residual of F(R) = F(delta_R) F(Rbar) over the sites of slice
     j, where every P, Q is split into its U(1) phase and SU(N) part.  Also
-    reports whether any factorization sat on the det = -1 branch cut."""
-    pq = np.array(_around(field_, j))
+    reports whether any factorization sat on the det = -1 branch cut.  For a
+    sequence of slices, both as arrays, one entry per slice, from one
+    factorize.  `curvature` is F(R), curvature_slice(field_, j), if known."""
+    pq = _around(field_, j)
     split = factorize(pq)
-    f_full, f_delta, f_bar = (_curvature(part) for part in (pq, split.delta[..., None, None], split.special))
-    residual = float(np.max(np.abs(f_full - f_delta * f_bar)))
-    return residual, bool(np.any(split.branch_discontinuous))
+    f_full = _curvature(pq) if curvature is None else curvature
+    f_delta, f_bar = (_curvature(part) for part in (split.delta[..., None, None], split.special))
+    residual = np.abs(f_full - f_delta * f_bar).max(axis=(-3, -2, -1))
+    branch = split.branch_discontinuous.any(axis=(0, 1, -1))
+    return (residual, branch) if np.ndim(j) else (float(residual), bool(branch))

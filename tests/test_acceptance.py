@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end criteria, one per test, each printing a
+"""Acceptance gate: eleven end-to-end criteria, one per test, each printing a
 single PASS/FAIL line (run with -s to see them live).
 
 Known red: criterion 7's zero-momentum leg.  A wave packet prepared at
@@ -22,7 +22,7 @@ from gaugewalk import experiments as ex
 from gaugewalk import lattice as lat
 from gaugewalk import unitary as un
 from gaugewalk import walker as wk
-from references import su2_closed_form
+from references import generator_potentials, local_slopes, one_step_generator_errors, su2_closed_form
 
 
 def report(name, passed, detail):
@@ -272,3 +272,53 @@ def test_criterion_10_numerical_kernels():
     assert worst <= 1e-12
     assert 3.2 <= rk2_ratio <= 4.8
     assert 12.8 <= rk4_ratio <= 19.2
+
+
+GENERATOR_MASS = 0.3
+
+
+def test_criterion_11_one_step_generator():
+    """One walk step on smooth, per-point, noncommuting U(N) potentials
+    against the Dirac generator dirac_rhs, N in {1, 2, 3}, from slice 0 and
+    from the slice at t = 1, over eps = 0.1 .. 0.003125: the plain error
+    falls at order 1 (every local slope 1 +- 0.05) and its Richardson form
+    at order 2 (every local slope >= 1.8), within 2 s."""
+    t_start = time.perf_counter()
+    plain_slopes, richardson_slopes = [], []
+    for dim in (1, 2, 3):
+        b0, b1 = generator_potentials(dim, seed=dim)
+        for t0 in (0.0, 1.0):
+            physics = (b0, b1, GENERATOR_MASS)
+            plain, richardson = one_step_generator_errors(physics, physics, dim, t0)
+            plain_slopes.extend(local_slopes(plain))
+            richardson_slopes.extend(local_slopes(richardson))
+    wall = time.perf_counter() - t_start
+    plain_ok = all(abs(s - 1.0) <= 0.05 for s in plain_slopes)
+    ok = plain_ok and min(richardson_slopes) >= 1.8 and wall <= 2.0
+    report("criterion-11 one-step generator", ok,
+           f"plain local slopes {min(plain_slopes):.3f}..{max(plain_slopes):.3f} (band 1+-0.05), "
+           f"Richardson local slopes >= {min(richardson_slopes):.3f} (>= 1.8), wall {wall:.2f}s (<= 2s)")
+    assert plain_ok
+    assert min(richardson_slopes) >= 1.8
+    assert wall <= 2.0
+
+
+def _wrong_reference_b0(b0, b1):
+    return (b0, b1, GENERATOR_MASS), (lambda t, x: -b0(t, x), b1, GENERATOR_MASS)
+
+
+def _walk_b0_scaled(b0, b1):
+    return (lambda t, x: 1.002 * b0(t, x), b1, GENERATOR_MASS), (b0, b1, GENERATOR_MASS)
+
+
+def _walk_mass_scaled(b0, b1):
+    return (b0, b1, 1.005 * GENERATOR_MASS), (b0, b1, GENERATOR_MASS)
+
+
+@pytest.mark.parametrize("variant", [_wrong_reference_b0, _walk_b0_scaled, _walk_mass_scaled],
+                         ids=["reference -B0", "walk B0 x 1.002", "walk mass x 1.005"])
+def test_criterion_11_fails_on_wrong_physics(variant):
+    # a wrong limit on either side, fed in as the check's inputs, breaks its gate
+    b0, b1 = generator_potentials(2, seed=2)
+    plain, richardson = one_step_generator_errors(*variant(b0, b1), 2, 1.0)
+    assert min(local_slopes(richardson)) < 1.8 or not all(abs(local_slopes(plain) - 1.0) <= 0.05)

@@ -20,7 +20,7 @@ from gaugewalk import experiments as ex
 from gaugewalk import lattice as lat
 from gaugewalk import unitary as un
 from gaugewalk import walker as wk
-from references import constant_field
+from references import constant_field, gauge_check_residuals_per_sample
 
 # the experiments that walk the SU(2) electric field, and a small valid walk
 WALKS = ("convergence", "trajectory", "evolve")
@@ -173,6 +173,110 @@ class TestGaugeCheckInternals:
         one_at_a_time = lat.GaugeTransformation.G
         monkeypatch.setattr(lat.GaugeTransformation, "G", lambda self, j, ahead=1: one_at_a_time(self, j))
         assert ex.gauge_check_residuals(dim, spec, 7) == in_runs
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_residuals_equal_the_per_sample_reference(self, monkeypatch, dim):
+        # the stacked samples give today's residuals bit for bit; seeds 1 and 7
+        # draw a slice j >= 49, at the top of the check lattice, for every dim
+        spec = lat.LatticeSpec(0.1, 8, 52)
+        drawn = []
+
+        def recording(field_, j, _fn=lat.curvature_slice):
+            drawn.extend(j)
+            return _fn(field_, j)
+
+        monkeypatch.setattr(lat, "curvature_slice", recording)
+        for seed in (0, 1, 7):
+            assert ex.gauge_check_residuals(dim, spec, seed) == gauge_check_residuals_per_sample(dim, spec, seed)
+        assert max(drawn) >= 49
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_a_sample_on_the_branch_cut_is_skipped_alone(self, monkeypatch, dim):
+        # P at site 0 of every fifth slice has det = -1: the samples that read
+        # one are skipped, each on its own, as the per-sample loop skips them
+        spec = lat.LatticeSpec(0.1, 8, 52)
+        flip = np.diag([-1.0] + [1.0] * (dim - 1))
+
+        def on_the_cut(spec_, dim_, seed, tag, scale, kinds, _fn=lat._random_run):
+            run = _fn(spec_, dim_, seed, tag, scale, kinds)
+            if tag != 0:
+                return run
+
+            def patched(j, count):
+                links = np.array(run(j, count))
+                links[[k - j for k in range(j, j + count) if k % 5 == 0], 0, 0] = flip
+                return links
+
+            return patched
+
+        flags = []
+
+        def recording(*args, _fn=lat.curvature_factorization_check):
+            out = _fn(*args)
+            flags.extend(out[1])
+            return out
+
+        monkeypatch.setattr(lat, "_random_run", on_the_cut)
+        monkeypatch.setattr(lat, "curvature_factorization_check", recording)
+        res = ex.gauge_check_residuals(dim, spec, 2)
+        assert res == gauge_check_residuals_per_sample(dim, spec, 2)
+        assert any(flags) and not all(flags)
+        assert 0 < res["curvature_factorization"] <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_a_trial_makes_two_curvature_stacks_and_one_factorize(self, monkeypatch, dim):
+        stacks, splits = [], []
+
+        def curvature(field_, j, _fn=lat.curvature_slice):
+            stacks.append(len(j))
+            return _fn(field_, j)
+
+        def factorize(m, _fn=lat.factorize):
+            splits.append(m.shape[:3])
+            return _fn(m)
+
+        monkeypatch.setattr(lat, "curvature_slice", curvature)
+        monkeypatch.setattr(lat, "factorize", factorize)
+        ex.gauge_check_residuals(dim, lat.LatticeSpec(0.1, 8, 52), 5)
+        # the plain field's and the transformed field's, 8 slices each; one
+        # split of the links around all 8
+        assert stacks == [8, 8]
+        assert splits == [(3, 2, 8)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_a_wrong_transformation_law_fails_the_check(self, monkeypatch, dim):
+        # P' = G_{j+1,p} P G^-1_{j,p-1} and Q' = G_{j+1,p} Q G^-1_{j,p+1}: the
+        # neighbours p + 1 and p - 1 swapped
+        def swapped(field_, g):
+            right, left = lat._neighbours(field_.spec.n_sites)
+
+            def run(j, count):
+                gs = np.array([g.G(k) for k in range(j, j + count + 1)])
+                links = [np.array([get(k) for k in range(j, j + count)]) for get in (field_.P, field_.Q)]
+                return np.stack([gs[1:] @ a @ gs[:-1].conj().mT[:, s] for a, s in zip(links, (left, right))], 1)
+
+            return lat.GaugeField(field_.spec, field_.dim, run)
+
+        spec = lat.LatticeSpec(0.1, 8, 52)
+        clean = ex.gauge_check_residuals(dim, spec, 5)
+        assert max(clean.values()) <= 1e-12
+        monkeypatch.setattr(lat, "transform_potentials", swapped)
+        wrong = ex.gauge_check_residuals(dim, spec, 5)
+        assert wrong["commuting_square"] > 1e-6
+        assert wrong["curvature_covariance"] > 1e-6
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_a_wrong_factorization_fails_the_check(self, monkeypatch, dim):
+        # an SU(N) part M delta in place of M / delta
+        def twin(m, _fn=lat.factorize):
+            split = _fn(m)
+            return un.FactorResult(split.delta, split.special * split.delta[..., None, None] ** 2,
+                                   split.branch_discontinuous)
+
+        spec = lat.LatticeSpec(0.1, 8, 52)
+        assert ex.gauge_check_residuals(dim, spec, 5)["curvature_factorization"] <= 1e-12
+        monkeypatch.setattr(lat, "factorize", twin)
+        assert ex.gauge_check_residuals(dim, spec, 5)["curvature_factorization"] > 1e-6
 
     def test_seeds_draw_disjoint_trials(self, monkeypatch, tmp_path):
         drawn = []

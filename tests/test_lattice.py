@@ -10,7 +10,8 @@ from gaugewalk import dirac as dr
 from gaugewalk import experiments as ex
 from gaugewalk import lattice as lat
 from gaugewalk import unitary as un
-from references import constant_field, constant_transformation, field_sources, su2_closed_form
+from references import (constant_field, constant_transformation, field_sources, slice_curvature,
+                        slice_factorization, su2_closed_form)
 
 
 def small_spec(eps=0.1, p_max=5, j_max=8):
@@ -993,6 +994,64 @@ class TestDiscreteCurvature:
         g = lat.GaugeTransformation.random(small_spec(), 2, seed=1)
         with pytest.raises(lat.SiteRangeError, match="^conjugator needs slice j-1$"):
             lat.curvature_gauge_conjugator(g, 0)
+
+
+class TestCurvatureStacks:
+    """A sequence of slices gives the one-slice results, stacked, bit for bit,
+    and those equal the one-slice products made from the memo's own views."""
+
+    JS = [1, 7, 3, 3, 5]
+
+    @pytest.mark.parametrize("source", list(field_sources(small_spec(), 2)))
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_curvature(self, source, dim):
+        f = field_sources(small_spec(), dim, seed=dim)[source]()
+        stack = lat.curvature_slice(f, self.JS)
+        assert stack.shape == (len(self.JS), f.spec.n_sites, dim, dim)
+        for j, one in zip(self.JS, stack):
+            assert one.tobytes() == lat.curvature_slice(f, j).tobytes()
+            assert one.tobytes() == slice_curvature([(f.P(k), f.Q(k)) for k in (j - 1, j, j + 1)]).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_conjugator(self, dim):
+        spec = small_spec()
+        g = lat.GaugeTransformation.random(spec, dim, seed=dim)
+        stack = lat.curvature_gauge_conjugator(g, self.JS)
+        for j, one in zip(self.JS, stack):
+            assert one.tobytes() == lat.curvature_gauge_conjugator(g, j).tobytes()
+            assert one.tobytes() == g.G(j - 1)[(np.arange(spec.n_sites) + 1) % spec.n_sites].tobytes()
+
+    @pytest.mark.parametrize("source", list(field_sources(small_spec(), 2)))
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_factorization(self, source, dim):
+        f = field_sources(small_spec(), dim, seed=dim)[source]()
+        residuals, branch = lat.curvature_factorization_check(f, self.JS)
+        assert residuals.shape == branch.shape == (len(self.JS),)
+        per_slice = [lat.curvature_factorization_check(f, j) for j in self.JS]
+        assert list(zip(residuals.tolist(), branch.tolist())) == per_slice
+        assert per_slice == [slice_factorization(f, j) for j in self.JS]
+        # F(R) handed in, as the gauge check does, gives the same residuals
+        given_f = lat.curvature_factorization_check(f, self.JS, lat.curvature_slice(f, self.JS))
+        assert given_f[0].tobytes() == residuals.tobytes()
+        assert given_f[1].tobytes() == branch.tobytes()
+
+    def test_branch_cut_reported_per_slice(self):
+        spec = small_spec()
+        eye = np.broadcast_to(np.eye(2, dtype=complex), (spec.n_sites, 2, 2))
+        p = np.array(np.broadcast_to(eye, (spec.j_max + 1,) + eye.shape))
+        p[3, -1] = np.diag([1.0, -1.0])
+        f = lat.GaugeField.from_arrays(spec, p, np.broadcast_to(eye, p.shape))
+        assert lat.curvature_factorization_check(f, range(1, 6))[1].tolist() == [False, True, True, True, False]
+
+    def test_range_checked_in_a_stack(self):
+        spec = small_spec()
+        f = lat.GaugeField.identity(spec, 2)
+        g = lat.GaugeTransformation.random(spec, 2, seed=1)
+        for check in (lat.curvature_slice, lat.curvature_factorization_check):
+            with pytest.raises(lat.SiteRangeError, match=f"j={spec.j_max} out of range"):
+                check(f, [2, spec.j_max, 3])
+        with pytest.raises(lat.SiteRangeError, match="^conjugator needs slice j-1$"):
+            lat.curvature_gauge_conjugator(g, [2, 0])
 
 
 def site_curvature(pq, i):
