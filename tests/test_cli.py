@@ -176,8 +176,8 @@ class TestGaugeCheckInternals:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_residuals_equal_the_per_sample_reference(self, monkeypatch, dim):
-        # the stacked samples give today's residuals bit for bit; seeds 1 and 7
-        # draw a slice j >= 49, at the top of the check lattice, for every dim
+        # the stacked samples give the per-sample loop's residuals bit for bit;
+        # seeds 1 and 7 draw a slice j >= 49, at the top of the check lattice
         spec = lat.LatticeSpec(0.1, 8, 52)
         drawn = []
 

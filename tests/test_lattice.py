@@ -1035,14 +1035,6 @@ class TestCurvatureStacks:
         assert given_f[0].tobytes() == residuals.tobytes()
         assert given_f[1].tobytes() == branch.tobytes()
 
-    def test_branch_cut_reported_per_slice(self):
-        spec = small_spec()
-        eye = np.broadcast_to(np.eye(2, dtype=complex), (spec.n_sites, 2, 2))
-        p = np.array(np.broadcast_to(eye, (spec.j_max + 1,) + eye.shape))
-        p[3, -1] = np.diag([1.0, -1.0])
-        f = lat.GaugeField.from_arrays(spec, p, np.broadcast_to(eye, p.shape))
-        assert lat.curvature_factorization_check(f, range(1, 6))[1].tolist() == [False, True, True, True, False]
-
     def test_range_checked_in_a_stack(self):
         spec = small_spec()
         f = lat.GaugeField.identity(spec, 2)
@@ -1264,6 +1256,8 @@ class TestFactorizationCheck:
         f = lat.GaugeField.from_arrays(spec, p, np.broadcast_to(eye, p.shape))
         assert [lat.curvature_factorization_check(f, j)[1] for j in range(1, 6)] == \
             [False, True, True, True, False]
+        # a stack of those slices reports the cut per slice
+        assert lat.curvature_factorization_check(f, range(1, 6))[1].tolist() == [False, True, True, True, False]
 
     def test_range_checked(self):
         spec = small_spec()
